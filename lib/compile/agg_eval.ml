@@ -4,7 +4,9 @@
    The core database cannot run these itself: its naive branch-at-a-time
    fixpoint has no notion of a per-group accumulator and would re-emit
    every displaced bound.  This module is the bridge the front end
-   installs via {!Dc_core.Database.set_agg_eval}: the application is
+   installs via {!Dc_core.Database.set_agg_eval}, for the live database
+   and its published snapshots alike (it reads through the
+   {!Dc_core.Source.t} of the read in progress): the application is
    translated to Horn clauses ({!Dc_datalog.Translate.of_application_full},
    which also reports which predicates are aggregated), evaluated with the
    aggregate-aware semi-naive engine (grouped accumulators, per-group
@@ -15,6 +17,7 @@
 open Dc_relation
 open Dc_calculus
 module Database = Dc_core.Database
+module Source = Dc_core.Source
 module Translate = Dc_datalog.Translate
 module Facts = Dc_datalog.Facts
 module Seminaive = Dc_datalog.Seminaive
@@ -27,12 +30,10 @@ module Guard = Dc_guard.Guard
 let base_name = "__agg_base"
 let arg_name i = Fmt.str "__agg_arg%d" i
 
-let eval ?guard db (def : Defs.constructor_def) (base : Relation.t)
-    (args : Eval.arg_value list) =
+let eval ?guard (src : Source.t) (def : Defs.constructor_def)
+    (base : Relation.t) (args : Eval.arg_value list) =
   let guard =
-    match guard with
-    | Some g -> g
-    | None -> Guard.of_limits (Database.limits db)
+    match guard with Some g -> g | None -> Guard.of_limits src.limits
   in
   let extra = ref [ (base_name, base) ] in
   let ast_args =
@@ -49,15 +50,12 @@ let eval ?guard db (def : Defs.constructor_def) (base : Relation.t)
   let range = Ast.Construct (Ast.Rel base_name, def.con_name, ast_args) in
   let ctx =
     {
-      Translate.lookup_constructor = Database.constructor db;
+      Translate.lookup_constructor = src.constructor;
       schema_of =
         (fun n ->
           match List.assoc_opt n !extra with
           | Some r -> Some (Relation.schema r)
-          | None -> (
-            match Database.get db n with
-            | r -> Some (Relation.schema r)
-            | exception Database.Error _ -> None));
+          | None -> Option.map Relation.schema (src.get n));
     }
   in
   let program, pred, aggs = Translate.of_application_full ctx range in
@@ -67,9 +65,9 @@ let eval ?guard db (def : Defs.constructor_def) (base : Relation.t)
         match List.assoc_opt p !extra with
         | Some r -> Facts.of_relation p r edb
         | None -> (
-          match Database.get db p with
-          | r -> Facts.of_relation p r edb
-          | exception Database.Error _ -> edb))
+          match src.get p with
+          | Some r -> Facts.of_relation p r edb
+          | None -> edb))
       (Dc_datalog.Syntax.edb_preds program)
       (Facts.empty ())
   in
@@ -77,5 +75,6 @@ let eval ?guard db (def : Defs.constructor_def) (base : Relation.t)
   Facts.to_relation def.con_result store pred
 
 (* Install on a database: every application of an aggregated constructor
-   system is routed here by [Database.eval_env]. *)
-let install db = Database.set_agg_eval db (fun db def base args -> eval db def base args)
+   system is routed here, by the database's and its snapshots' read
+   sources alike. *)
+let install db = Database.set_agg_eval db (fun src def base args -> eval src def base args)

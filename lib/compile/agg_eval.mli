@@ -9,16 +9,19 @@ open Dc_calculus
 
 val eval :
   ?guard:Dc_guard.Guard.t ->
-  Dc_core.Database.t ->
+  Dc_core.Source.t ->
   Defs.constructor_def ->
   Relation.t ->
   Eval.arg_value list ->
   Relation.t
-(** [guard] defaults to a fresh guard over the database's limits.
+(** Relations and definitions are read from the source (a snapshot or
+    the live database).  [guard] defaults to a fresh guard over the
+    source's limits.
     @raise Dc_datalog.Translate.Unsupported outside the Horn fragment
     @raise Dc_datalog.Stratify.Not_stratifiable on recursion through
     COUNT/SUM or negation *)
 
 val install : Dc_core.Database.t -> unit
 (** Wire {!eval} in as the database's aggregate evaluator
-    ({!Dc_core.Database.set_agg_eval}). *)
+    ({!Dc_core.Database.set_agg_eval}); its published snapshots use it
+    too. *)

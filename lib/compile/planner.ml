@@ -9,13 +9,26 @@
    3. cyclic subgraphs get a fixpoint plan; when the query restricts the
       constructed relation by constants, the capture-rule path (magic
       sets over the translated Horn program) propagates the constants into
-      the fixpoint. *)
+      the fixpoint — factored for right-linear recursion.
+
+   This is the one read path: every surface read (QUERY/PRINT, server
+   sessions, wire reads, EXPLAIN) is planned and executed here, against a
+   {!Source.t} — a published snapshot or the live database.  The method
+   order is fixed: a live view that answers the application, then
+   pushed/decompiled, then magic (factored when the condition holds),
+   then direct. *)
 
 open Dc_relation
 open Dc_calculus
 open Dc_core
 
 type method_ =
+  | View of {
+      view : string;
+      extent : Relation.t;
+      residual : Ast.formula;
+      var : Ast.var;
+    }
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
@@ -25,6 +38,7 @@ type method_ =
       schema : Schema.t;
       residual : Ast.formula; (* conjuncts magic could not absorb *)
       var : Ast.var;
+      factored : (Dc_datalog.Magic.factored, string) result;
     }
 
 type decision = {
@@ -37,6 +51,7 @@ type decision = {
 }
 
 let method_name = function
+  | View _ -> "maintained view"
   | Direct -> "direct fixpoint"
   | Decompiled _ -> "decompiled view"
   | Pushed _ -> "pushed restriction"
@@ -44,26 +59,41 @@ let method_name = function
 
 (* ------------------------------------------------------------------ *)
 
-let translate_ctx db =
+let source_ctx (src : Source.t) =
   {
-    Dc_datalog.Translate.lookup_constructor = Database.constructor db;
-    schema_of =
-      (fun n ->
-        match Database.get db n with
-        | r -> Some (Relation.schema r)
-        | exception Database.Error _ -> None);
+    Dc_datalog.Translate.lookup_constructor = src.constructor;
+    schema_of = (fun n -> Option.map Relation.schema (src.get n));
   }
 
-let plan db (query : Ast.range) =
+let translate_ctx db = source_ctx (Database.source db)
+
+(* The live view answering [Base{c(args)}], when the application names
+   its base and relation arguments directly (the shape MATERIALIZE
+   accepts) and a view over exactly those values is live. *)
+let view_answer (src : Source.t) def = function
+  | Ast.Construct (Ast.Rel base, _, args) -> (
+    let arg = function
+      | Ast.Arg_scalar (Ast.Const c) -> Some (Eval.V_scalar c)
+      | Ast.Arg_range (Ast.Rel n) -> Option.map (fun r -> Eval.V_rel r) (src.get n)
+      | _ -> None
+    in
+    let args = List.map arg args in
+    match src.get base with
+    | Some base when List.for_all Option.is_some args ->
+      src.serve def base (List.map Option.get args)
+    | _ -> None)
+  | _ -> None
+
+let plan_on (src : Source.t) (query : Ast.range) =
   Dc_obs.Obs.Span.timed "plan" @@ fun () ->
-  Database.check_query db query;
+  Source.check_query src query;
   let defs =
-    List.filter_map (Database.constructor db)
+    List.filter_map src.constructor
       (List.sort_uniq String.compare
          (List.map (fun (a : Vars.app) -> a.app_con) (Vars.apps_of_range query)
          @ List.concat_map
              (fun (a : Vars.app) ->
-               match Database.constructor db a.app_con with
+               match src.constructor a.app_con with
                | Some d ->
                  List.map
                    (fun (a' : Vars.app) -> a'.app_con)
@@ -80,7 +110,7 @@ let plan db (query : Ast.range) =
             (fun c ->
               if List.exists (fun (d : Defs.constructor_def) -> d.con_name = c) acc
               then None
-              else Database.constructor db c)
+              else src.constructor c)
             (Positivity.dependencies d))
         acc
     in
@@ -88,67 +118,99 @@ let plan db (query : Ast.range) =
   in
   let defs = closure defs in
   let dep = Depgraph.build defs in
-  let graph = Quant_graph.build ~lookup:(Database.constructor db) query in
+  let graph = Quant_graph.build ~lookup:src.constructor query in
   let recursive = Quant_graph.is_recursive graph in
   let notes = ref [] in
   let note fmt = Fmt.kstr (fun s -> notes := s :: !notes) fmt in
   let schema_of_range r =
     (* used by pushdown Case 1 to map attributes positionally *)
-    Eval.range_schema (Database.eval_env db) [] r
+    Eval.range_schema (src.eval_env ()) [] r
+  in
+  let decompile query =
+    Rewrite.decompile ~schema_of:schema_of_range ~selector_of:src.selector
+      ~constructor_of:src.constructor ~is_recursive:(Depgraph.is_recursive dep)
+      query
+  in
+  (* the rewrites below inline constructor bodies as plain branches or
+     Horn clauses; an aggregated system keeps its accumulators only
+     through the aggregate evaluator, which direct evaluation reaches *)
+  let aggregated =
+    List.find_opt
+      (fun (a : Vars.app) ->
+        match src.constructor a.app_con with
+        | Some def -> Source.system_has_agg src.constructor def
+        | None -> false)
+      (Vars.apps_of_range query)
   in
   let method_ =
-    match Pushdown.restricted_application query with
-    | Some (v, (Ast.Construct (_, c, _) as app), where) -> (
+    match Pushdown.restricted_application query, aggregated with
+    | Some (v, (Ast.Construct (_, c, _) as app), where), _ -> (
       let bindings, residual = Pushdown.constant_bindings v where in
-      if not (Depgraph.is_recursive dep c) then begin
-        (* acyclic application: decompile + push the whole restriction *)
-        match
-          Pushdown.push_nonrecursive
-            ~constructor_of:(Database.constructor db)
-            ~schema_of_range v app where
-        with
-        | pushed ->
-          note "constructor %s acyclic: decompiled, restriction pushed" c;
-          Pushed (Rewrite.flatten_range pushed)
-        | exception Pushdown.Not_applicable msg ->
-          note "pushdown not applicable (%s): decompiling only" msg;
-          Decompiled
-            (Rewrite.decompile ~schema_of:schema_of_range
-               ~selector_of:(Database.selector db)
-               ~constructor_of:(Database.constructor db)
-               ~is_recursive:(Depgraph.is_recursive dep)
-               query)
-      end
-      else if bindings <> [] then begin
-        match Database.constructor db c with
-        | None -> Direct
-        | Some def -> (
-          match
-            Pushdown.magic_query ~ctx:(translate_ctx db)
-              ~schema:def.con_result app bindings
-          with
-          | program, q ->
-            note
-              "recursive cycle through %s with %d constant binding(s): \
-               capture rule (magic sets)"
-              c (List.length bindings);
-            Magic
-              {
-                program;
-                query = q;
-                schema = def.con_result;
-                residual = Ast.conj_list residual;
-                var = v;
-              }
-          | exception Dc_datalog.Translate.Unsupported msg ->
-            note "translation unsupported (%s): direct fixpoint" msg;
-            Direct)
-      end
-      else begin
-        note "recursive application without constant restriction: fixpoint";
+      match
+        Option.bind (src.constructor c) (fun def -> view_answer src def app)
+      with
+      | Some (view, extent) ->
+        note
+          "live view %s answers %a: the restriction filters its extent \
+           (views come before capture rules)"
+          view Ast.pp_range app;
+        View { view; extent; residual = where; var = v }
+      | None when aggregated <> None ->
+        note "aggregated constructor system %s: direct evaluation" c;
         Direct
-      end)
-    | Some (_, _, _) | None ->
+      | None ->
+        if not (Depgraph.is_recursive dep c) then begin
+          (* acyclic application: decompile + push the whole restriction *)
+          match
+            Pushdown.push_nonrecursive ~constructor_of:src.constructor
+              ~schema_of_range v app where
+          with
+          | pushed ->
+            note "constructor %s acyclic: decompiled, restriction pushed" c;
+            Pushed (Rewrite.flatten_range pushed)
+          | exception Pushdown.Not_applicable msg ->
+            note "pushdown not applicable (%s): decompiling only" msg;
+            Decompiled (decompile query)
+        end
+        else if bindings <> [] then begin
+          match src.constructor c with
+          | None -> Direct
+          | Some def -> (
+            match
+              Pushdown.magic_query ~ctx:(source_ctx src) ~schema:def.con_result
+                app bindings
+            with
+            | program, q ->
+              note
+                "recursive cycle through %s with %d constant binding(s): \
+                 capture rule (magic sets)"
+                c (List.length bindings);
+              let factored = Dc_datalog.Magic.factor program q in
+              if Result.is_ok factored then
+                note
+                  "right-linear: capture rule factored (Naughton et al., \
+                   VLDB 1989)";
+              Magic
+                {
+                  program;
+                  query = q;
+                  schema = def.con_result;
+                  residual = Ast.conj_list residual;
+                  var = v;
+                  factored;
+                }
+            | exception Dc_datalog.Translate.Unsupported msg ->
+              note "translation unsupported (%s): direct fixpoint" msg;
+              Direct)
+        end
+        else begin
+          note "recursive application without constant restriction: fixpoint";
+          Direct
+        end)
+    | _, Some (a : Vars.app) ->
+      note "aggregated constructor system %s: direct evaluation" a.app_con;
+      Direct
+    | (Some (_, _, _) | None), None ->
       if recursive then begin
         note "recursive quant graph: fixpoint evaluation";
         Direct
@@ -163,12 +225,7 @@ let plan db (query : Ast.range) =
         in
         if has_defs then begin
           note "acyclic query: full decompilation and view optimization";
-          Decompiled
-            (Rewrite.decompile ~schema_of:schema_of_range
-               ~selector_of:(Database.selector db)
-               ~constructor_of:(Database.constructor db)
-               ~is_recursive:(Depgraph.is_recursive dep)
-               query)
+          Decompiled (decompile query)
         end
         else Direct
       end
@@ -177,9 +234,9 @@ let plan db (query : Ast.range) =
     match method_ with
     | Decompiled q | Pushed q -> (
       let schema_of_rel n =
-        match Database.get db n with
-        | r -> Relation.schema r
-        | exception Database.Error msg -> raise (Plan.Not_compilable msg)
+        match src.get n with
+        | Some r -> Relation.schema r
+        | None -> raise (Plan.Not_compilable ("unknown relation " ^ n))
       in
       match Plan.of_range ~schema_of_rel q with
       | p ->
@@ -189,7 +246,7 @@ let plan db (query : Ast.range) =
       | exception Plan.Not_compilable msg ->
         note "not compilable to a static plan (%s): interpreting" msg;
         None)
-    | Direct | Magic _ -> None
+    | View _ | Direct | Magic _ -> None
   in
   {
     d_query = query;
@@ -200,46 +257,82 @@ let plan db (query : Ast.range) =
     d_notes = List.rev !notes;
   }
 
+let plan db query = plan_on (Database.source db) query
+
 (* ------------------------------------------------------------------ *)
 (* Runtime level: execute a decision. *)
 
-let edb_for db program =
+let edb_of (src : Source.t) program =
   Dc_datalog.Syntax.SS.fold
     (fun pred edb ->
-      match Database.get db pred with
-      | rel -> Dc_datalog.Facts.of_relation pred rel edb
-      | exception Database.Error _ -> edb)
+      match src.get pred with
+      | Some rel -> Dc_datalog.Facts.of_relation pred rel edb
+      | None -> edb)
     (Dc_datalog.Syntax.edb_preds program)
     (Dc_datalog.Facts.empty ())
 
-let execute ?use_indexes ?trace ?guard ?datalog_stats db (d : decision) =
+let edb_for db program = edb_of (Database.source db) program
+
+(* Keep the tuples of [rel] (bound to [var]) that satisfy [residual]. *)
+let filter_residual (src : Source.t) var residual rel =
+  if residual = Ast.True then rel
+  else
+    let env = src.eval_env () in
+    let schema = Relation.schema rel in
+    Relation.filter
+      (fun t -> Eval.eval_formula (Eval.bind_var env var t schema) residual)
+      rel
+
+let execute_on ?use_indexes ?trace ?guard ?datalog_stats (src : Source.t)
+    (d : decision) =
+  Dc_obs.Obs.Span.timed "execute" @@ fun () ->
   match d.d_method, d.d_plan with
-  | (Decompiled _ | Pushed _), Some plan ->
-    Database.coerce
-      (Dc_calculus.Eval.range_schema (Database.eval_env db) [] d.d_query)
-      (Plan.run ?use_indexes (Database.eval_env ?trace ?guard db) plan)
-  | Direct, _ -> Database.query ?trace ?guard db d.d_query
-  | (Decompiled q | Pushed q), None -> Database.query ?trace ?guard db q
-  | Magic { program; query; schema; residual; var }, _ ->
-    let edb = edb_for db program in
+  | View { view; extent; residual; var }, _ ->
+    (* the extent is scanned like any range: every tuple ticks the guard *)
     let guard =
       match guard with
       | Some g -> g
-      | None -> Dc_guard.Guard.of_limits (Database.limits db)
+      | None -> Dc_guard.Guard.of_limits src.limits
     in
-    let result =
-      Pushdown.run_magic ~guard ?stats:datalog_stats ?trace ~edb ~schema
-        program query
+    let label = lazy ("scan view " ^ view) in
+    Relation.iter (fun _ -> Dc_guard.Guard.tick guard label) extent;
+    filter_residual src var residual extent
+  | (Decompiled _ | Pushed _), Some plan ->
+    let env = src.eval_env ?trace ?guard () in
+    Database.coerce
+      (Eval.range_schema env [] d.d_query)
+      (Plan.run ?use_indexes env plan)
+  | Direct, _ -> Eval.eval_range (src.eval_env ?trace ?guard ()) d.d_query
+  | (Decompiled q | Pushed q), None ->
+    Eval.eval_range (src.eval_env ?trace ?guard ()) q
+  | Magic { program; query; schema; residual; var; factored }, _ ->
+    let edb = edb_of src program in
+    let guard =
+      match guard with
+      | Some g -> g
+      | None -> Dc_guard.Guard.of_limits src.limits
     in
-    if residual = Ast.True then result
-    else
-      let env = Database.eval_env db in
-      Relation.filter
-        (fun t ->
-          Eval.eval_formula (Eval.bind_var env var t schema) residual)
-        result
+    let answers =
+      match factored with
+      | Ok f ->
+        Dc_datalog.Magic.answer_factored ~guard ?stats:datalog_stats ?trace f
+          edb
+      | Error _ ->
+        Dc_datalog.Magic.answer ~guard ?stats:datalog_stats ?trace program edb
+          query
+    in
+    filter_residual src var residual
+      (Dc_datalog.Facts.TS.fold Relation.add_unchecked answers
+         (Relation.empty schema))
 
-let plan_and_execute db query = execute db (plan db query)
+let execute ?use_indexes ?trace ?guard ?datalog_stats db d =
+  execute_on ?use_indexes ?trace ?guard ?datalog_stats (Database.source db) d
+
+let read ?trace ?guard src query =
+  let d = plan_on src query in
+  (d, execute_on ?trace ?guard src d)
+
+let plan_and_execute db query = snd (read (Database.source db) query)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared query forms.
@@ -350,8 +443,14 @@ let explain ppf (d : decision) =
     (match d.d_plan with
     | Some plan -> Fmt.pf ppf "plan:@.%a@." Plan.pp plan
     | None -> ())
-  | Magic { program; query; _ } ->
+  | Magic { program; query; factored; _ } -> (
     Fmt.pf ppf "translated program:@.%a@." Dc_datalog.Syntax.pp_program program;
-    Fmt.pf ppf "magic query: %a@." Dc_datalog.Syntax.pp_atom query
+    Fmt.pf ppf "magic query: %a@." Dc_datalog.Syntax.pp_atom query;
+    match factored with
+    | Ok f ->
+      Fmt.pf ppf "factored program:@.%a@." Dc_datalog.Syntax.pp_program
+        f.Dc_datalog.Magic.f_program
+    | Error _ -> ())
+  | View { view; _ } -> Fmt.pf ppf "served from: %s@." view
   | Direct -> ());
   Quant_graph.pp ppf d.d_quant_graph

@@ -7,8 +7,14 @@ open Dc_relation
 open Dc_calculus
 open Dc_core
 
-(** Chosen evaluation method. *)
+(** Chosen evaluation method, in the order the planner tries them. *)
 type method_ =
+  | View of {
+      view : string;  (** the live maintained view *)
+      extent : Relation.t;  (** its extent, served at planning time *)
+      residual : Ast.formula;  (** the whole restriction *)
+      var : Ast.var;
+    }  (** a live view answers the application; the restriction filters it *)
   | Direct  (** evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range  (** inlined as a view (acyclic) *)
   | Pushed of Ast.range  (** restriction distributed over branches *)
@@ -18,6 +24,9 @@ type method_ =
       schema : Schema.t;
       residual : Ast.formula;  (** conjuncts magic could not absorb *)
       var : Ast.var;
+      factored : (Dc_datalog.Magic.factored, string) result;
+          (** the right-linear factoring of the capture rule, or why it
+              does not apply ({!Dc_datalog.Magic.factor}) *)
     }  (** the recursive capture rule *)
 
 type decision = {
@@ -33,13 +42,50 @@ type decision = {
 
 val method_name : method_ -> string
 
-val translate_ctx : Database.t -> Dc_datalog.Translate.context
+(** {1 The read path}
+
+    Every surface read — [QUERY]/[PRINT] (pinned or not), server
+    sessions, wire reads, [EXPLAIN] — is planned and executed here
+    against a {!Dc_core.Source.t}.  The method order is fixed:
+    1. a live maintained view that answers the application;
+    2. pushed or decompiled (acyclic applications);
+    3. magic (capture rule), factored for right-linear recursion;
+    4. direct fixpoint. *)
+
+val plan_on : Source.t -> Ast.range -> decision
+(** Typecheck and plan a query against a read source. *)
+
+val execute_on :
+  ?use_indexes:bool ->
+  ?trace:Dc_exec.Ir.trace ->
+  ?guard:Dc_guard.Guard.t ->
+  ?datalog_stats:Dc_datalog.Seminaive.stats ->
+  Source.t ->
+  decision ->
+  Relation.t
+(** Runtime level: run the decision against the source it was planned
+    on.  [use_indexes:false] forces full scans in compiled plans (the E11
+    ablation).  [trace] records every physical pipeline the execution
+    lowers and runs, whatever the method — compiled plan, direct
+    fixpoint, or magic-sets Datalog rounds.  [guard] (default: a fresh
+    guard over the source's limits) governs the execution whatever the
+    method.  [datalog_stats], when given, receives the semi-naive round
+    statistics of a [Magic] execution (EXPLAIN ANALYZE's per-round series
+    for that method).
+    @raise Dc_guard.Guard.Exhausted when the guard trips *)
+
+val read :
+  ?trace:Dc_exec.Ir.trace ->
+  ?guard:Dc_guard.Guard.t ->
+  Source.t ->
+  Ast.range ->
+  decision * Relation.t
+(** [plan_on] then [execute_on]: the one entry for surface reads. *)
+
+(** {1 Over the live database} *)
 
 val plan : Database.t -> Ast.range -> decision
-(** Typecheck and plan a query. *)
-
-val edb_for : Database.t -> Dc_datalog.Syntax.program -> Dc_datalog.Facts.t
-(** Collect the EDB relations a translated program references. *)
+(** [plan_on (Database.source db)]. *)
 
 val execute :
   ?use_indexes:bool ->
@@ -49,17 +95,14 @@ val execute :
   Database.t ->
   decision ->
   Relation.t
-(** Runtime level: run the decision.  [use_indexes:false] forces full
-    scans in compiled plans (the E11 ablation).  [trace] records every
-    physical pipeline the execution lowers and runs, whatever the method
-    — compiled plan, direct fixpoint, or magic-sets Datalog rounds.
-    [guard] (default: a fresh guard over the database's limits) governs
-    the execution whatever the method.  [datalog_stats], when given,
-    receives the semi-naive round statistics of a [Magic] execution
-    (EXPLAIN ANALYZE's per-round series for that method).
-    @raise Dc_guard.Guard.Exhausted when the guard trips *)
+(** [execute_on (Database.source db)]. *)
 
 val plan_and_execute : Database.t -> Ast.range -> Relation.t
+
+val translate_ctx : Database.t -> Dc_datalog.Translate.context
+
+val edb_for : Database.t -> Dc_datalog.Syntax.program -> Dc_datalog.Facts.t
+(** Collect the EDB relations a translated program references. *)
 
 (** {1 Prepared query forms}
 

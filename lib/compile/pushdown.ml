@@ -149,10 +149,3 @@ let magic_query ~ctx ~schema app (bindings : (string * Value.t) list) =
       (Schema.attr_names schema)
   in
   (program, Dc_datalog.Syntax.atom query_pred query_args)
-
-let run_magic ?guard ?stats ?trace ~edb ~schema program query =
-  let answers =
-    Dc_datalog.Magic.answer ?guard ?stats ?trace program edb query
-  in
-  Dc_datalog.Facts.TS.fold Relation.add_unchecked answers
-    (Relation.empty schema)

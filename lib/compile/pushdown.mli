@@ -54,14 +54,3 @@ val magic_query :
   Dc_datalog.Syntax.program * Dc_datalog.Syntax.atom
 (** The recursive capture rule: translate the application to Horn clauses
     and build the adorned query for the constant bindings. *)
-
-val run_magic :
-  ?guard:Dc_guard.Guard.t ->
-  ?stats:Dc_datalog.Seminaive.stats ->
-  ?trace:Dc_exec.Ir.trace ->
-  edb:Dc_datalog.Facts.t ->
-  schema:Schema.t ->
-  Dc_datalog.Syntax.program ->
-  Dc_datalog.Syntax.atom ->
-  Relation.t
-(** Evaluate a magic query and convert the answers back to a relation. *)

@@ -101,10 +101,7 @@ type t = {
       (* the commit in progress changed the catalog / wholesale-assigned
          a relation: no replayable delta, [wh_append] must checkpoint *)
   mutable durable_lsn : int; (* 0 = nothing durable / no WAL attached *)
-  mutable agg_eval :
-    (t -> Defs.constructor_def -> Relation.t -> Eval.arg_value list ->
-     Relation.t)
-      option;
+  mutable agg_eval : Source.agg_eval option;
       (* evaluator for constructor systems containing aggregates: the
          fixpoint with per-group bounds lives in the compiled (datalog)
          pipeline, which this core module cannot see — the front end
@@ -125,6 +122,7 @@ let initial_snapshot ~strategy ~max_rounds ~limits =
     views = [];
     icache = frozen_empty_cache ();
     durable = None;
+    agg_eval = None;
   }
 
 let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
@@ -150,7 +148,12 @@ let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
     agg_eval = None;
   }
 
-let set_agg_eval db f = db.agg_eval <- Some f
+(* The evaluator is part of every published snapshot too; installing it
+   refreshes the current one in place (no version bump), like the
+   durability watermark, so reader sessions opened later see it. *)
+let set_agg_eval db f =
+  db.agg_eval <- Some f;
+  db.published <- { db.published with Snapshot.agg_eval = Some f }
 
 (* ------------------------------------------------------------------ *)
 (* Publication *)
@@ -211,6 +214,7 @@ let publish db =
       views;
       icache;
       durable = (if db.durable_lsn = 0 then None else Some db.durable_lsn);
+      agg_eval = db.agg_eval;
     }
 
 let snapshot db = db.published
@@ -501,33 +505,15 @@ let typecheck_env db =
     ~constructors:(List.map snd (SM.bindings db.constructors))
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings db.rels))
 
-(* Does the constructor system reachable from [def] contain an aggregated
-   definition?  Such applications must run through the compiled datalog
-   pipeline (grouped accumulators, per-group-bound semi-naive rounds) —
-   the naive branch-at-a-time fixpoint would re-emit displaced bounds. *)
-let system_has_agg db (def : Defs.constructor_def) =
-  let seen = Hashtbl.create 8 in
-  let rec walk (d : Defs.constructor_def) =
-    if Hashtbl.mem seen d.con_name then false
-    else begin
-      Hashtbl.replace seen d.con_name ();
-      d.con_agg <> None
-      || List.exists
-           (fun c ->
-             match SM.find_opt c db.constructors with
-             | Some dc -> walk dc
-             | None -> false)
-           (Positivity.dependencies d)
-    end
-  in
-  walk def
+let system_has_agg db def =
+  Source.system_has_agg (fun n -> SM.find_opt n db.constructors) def
 
 (* Evaluation environment with the full constructor/selector semantics.
    [trace], when given, records every physical pipeline the evaluation
    lowers and runs (EXPLAIN).  [guard] defaults to a fresh guard over the
    database's declarative limits (SET LIMIT): each evaluation gets its own
    budgets.  Constructor fixpoints pick the guard up from the environment. *)
-let eval_env ?trace ?guard db =
+let rec eval_env ?trace ?guard db =
   let guard =
     match guard with
     | Some g -> g
@@ -550,7 +536,7 @@ let eval_env ?trace ?guard db =
           | None ->
             if system_has_agg db def then (
               match db.agg_eval with
-              | Some f -> f db def base args
+              | Some f -> f (source db) def base args
               | None ->
                 error
                   "constructor %s: aggregated constructor systems need \
@@ -569,6 +555,26 @@ let eval_env ?trace ?guard db =
     }
   in
   Eval.make_env ~hooks ?trace ~guard (SM.bindings db.rels)
+
+(* The live database as a read source (the REPL's reads).  A view
+   answers only while it is live: a stale one would refresh first, so
+   the planner prefers its other methods for it. *)
+and source db =
+  {
+    Source.get = (fun n -> SM.find_opt n db.rels);
+    constructor = (fun n -> SM.find_opt n db.constructors);
+    selector = (fun n -> SM.find_opt n db.selectors);
+    limits = db.limits;
+    typecheck_env = (fun () -> typecheck_env db);
+    eval_env = (fun ?trace ?guard () -> eval_env ?trace ?guard db);
+    serve =
+      (fun def base args ->
+        List.find_map
+          (fun m ->
+            if m.mt_stale () then None
+            else Option.map (fun r -> (m.mt_name, r)) (m.mt_serve def base args))
+          db.maintainers);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Definitions *)

@@ -25,17 +25,14 @@ val set_strategy : t -> Fixpoint.strategy -> unit
 val strategy : t -> Fixpoint.strategy
 val set_check_positivity : t -> bool -> unit
 
-val set_agg_eval :
-  t ->
-  (t -> Defs.constructor_def -> Relation.t -> Eval.arg_value list ->
-   Relation.t) ->
-  unit
+val set_agg_eval : t -> Source.agg_eval -> unit
 (** Install the evaluator for constructor systems containing aggregates
     (MIN/MAX/COUNT/SUM heads).  Applications of such systems are routed
-    here instead of the naive fixpoint — the front end wires in the
-    compiled datalog pipeline (grouped accumulators, per-group-bound
-    semi-naive rounds).  Without an installed evaluator such
-    applications raise {!Error}. *)
+    here instead of the naive fixpoint, both on the live database and in
+    every published snapshot — the front end wires in the compiled
+    datalog pipeline (grouped accumulators, per-group-bound semi-naive
+    rounds).  Without an installed evaluator such applications raise
+    {!Error} on the live database. *)
 
 val system_has_agg : t -> Defs.constructor_def -> bool
 (** Does the constructor system reachable from the definition contain an
@@ -213,14 +210,21 @@ val eval_env : ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> t -> Eval.e
     pipeline the evaluation lowers and runs (EXPLAIN).  [guard] defaults
     to a fresh guard over {!limits}. *)
 
+val source : t -> Source.t
+(** The live database as a read source (the REPL's reads): relations,
+    definitions and limits as they stand now, evaluation through
+    {!eval_env}, and views that answer only while not stale. *)
+
 (** {1 Queries and assignment} *)
 
 val check_query : t -> Ast.range -> unit
 
 val query :
   ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> t -> Ast.range -> Relation.t
-(** Typecheck, then evaluate (constructor applications run to their least
-    fixpoint) under [guard] (default: a fresh guard over {!limits}).
+(** Typecheck, then evaluate as written (constructor applications run to
+    their least fixpoint) under [guard] (default: a fresh guard over
+    {!limits}).  This is the planner's direct method and the library
+    baseline; surface reads go through [Dc_compile.Planner.read].
     @raise Dc_guard.Guard.Exhausted when a limit trips; aborted
     constructor expansions leave the database and caches unchanged. *)
 

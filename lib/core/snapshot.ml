@@ -10,7 +10,8 @@
    successors.
 
    Capture and publication live in {!Database}; this module owns the
-   type and the read-only operations (queries against the snapshot). *)
+   type and the read source ({!Source.t}) that the planner evaluates
+   snapshot reads against. *)
 
 open Dc_relation
 open Dc_calculus
@@ -42,6 +43,8 @@ type t = {
   durable : int option;
       (* LSN of the last durable WAL record / checkpoint covering this
          state; [None] when the database has no write-ahead log attached *)
+  agg_eval : Source.agg_eval option;
+      (* the front end's evaluator for aggregated constructor systems *)
 }
 
 let version s = s.version
@@ -66,10 +69,11 @@ let typecheck_env s =
 
 (* Like {!Database.eval_env}, but every lookup resolves inside the
    snapshot: constructor applications are served from frozen view extents
-   when one matches, and otherwise run a fixpoint whose inputs are all
-   snapshot values.  The per-evaluation index cache borrows the
-   snapshot's frozen prewarmed indexes as a read-only fallback. *)
-let eval_env ?guard s =
+   when one matches, go through the aggregate evaluator when their system
+   aggregates, and otherwise run a fixpoint whose inputs are all snapshot
+   values.  The per-evaluation index cache borrows the snapshot's frozen
+   prewarmed indexes as a read-only fallback. *)
+let eval_env ?trace ?guard s src =
   let guard =
     match guard with Some g -> g | None -> Guard.of_limits s.limits
   in
@@ -87,19 +91,40 @@ let eval_env ?guard s =
               s.views
           with
           | Some value -> value
-          | None ->
-            Fixpoint.apply ~strategy:s.strategy ~max_rounds:s.max_rounds env
-              def base args);
+          | None -> (
+            match s.agg_eval with
+            | Some agg
+              when Source.system_has_agg
+                     (fun n -> SM.find_opt n s.constructors)
+                     def ->
+              agg src def base args
+            | _ ->
+              Fixpoint.apply ~strategy:s.strategy ~max_rounds:s.max_rounds env
+                def base args));
     }
   in
   let icache = Index_cache.create ~shared:s.icache () in
-  Eval.make_env ~hooks ~guard ~icache (SM.bindings s.rels)
+  Eval.make_env ~hooks ?trace ~guard ~icache (SM.bindings s.rels)
 
-let check_query s range = Typecheck.check_query (typecheck_env s) range
-
-let query ?guard s range =
-  check_query s range;
-  Eval.eval_range (eval_env ?guard s) range
+let source s =
+  let rec src =
+    {
+      Source.get = (fun n -> SM.find_opt n s.rels);
+      constructor = (fun n -> SM.find_opt n s.constructors);
+      selector = (fun n -> SM.find_opt n s.selectors);
+      limits = s.limits;
+      typecheck_env = (fun () -> typecheck_env s);
+      eval_env = (fun ?trace ?guard () -> eval_env ?trace ?guard s src);
+      serve =
+        (fun def base args ->
+          List.find_map
+            (fun v ->
+              Option.bind v.fv_serve (fun serve ->
+                  Option.map (fun r -> (v.fv_name, r)) (serve def base args)))
+            s.views);
+    }
+  in
+  src
 
 let pp_summary ppf s =
   Fmt.pf ppf "version %d: %d relation%s, %d view%s%s%s" s.version

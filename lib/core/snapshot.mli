@@ -35,6 +35,9 @@ type t = {
   durable : int option;
       (** LSN of the last durable WAL record / checkpoint covering this
           state; [None] without an attached write-ahead log *)
+  agg_eval : Source.agg_eval option;
+      (** the front end's evaluator for aggregated constructor systems
+          ({!Database.set_agg_eval}) *)
 }
 
 val version : t -> int
@@ -52,23 +55,15 @@ val stale_views : t -> string list
     them re-runs the fixpoint against snapshot relations instead of
     being served from a frozen extent (correct, slower). *)
 
-val typecheck_env : t -> Typecheck.env
-
-val eval_env : ?guard:Dc_guard.Guard.t -> t -> Eval.env
-(** Evaluation environment resolving entirely inside the snapshot:
-    constructor applications are served from frozen view extents when
-    one matches and otherwise run a fixpoint over snapshot values; the
-    per-evaluation index cache borrows the snapshot's frozen prewarmed
-    indexes read-only.  [guard] defaults to a fresh guard over the
-    snapshot's limits. *)
-
-val check_query : t -> Ast.range -> unit
-
-val query : ?guard:Dc_guard.Guard.t -> t -> Ast.range -> Relation.t
-(** Typecheck and evaluate against the frozen state.  Thread-safe:
-    concurrent [query] calls on one snapshot share only immutable or
-    frozen structure.
-    @raise Dc_guard.Guard.Exhausted when a limit trips. *)
+val source : t -> Source.t
+(** The snapshot as a read source: every lookup resolves inside the
+    frozen state.  Constructor applications are served from frozen view
+    extents when one matches, go through the aggregate evaluator when
+    their system aggregates, and otherwise run a fixpoint over snapshot
+    values; the per-evaluation index cache borrows the snapshot's
+    prewarmed indexes read-only.  Thread-safe: concurrent reads of one
+    snapshot share only immutable or frozen structure.  Reads run
+    through [Dc_compile.Planner.read]. *)
 
 val pp_summary : t Fmt.t
 (** One-line [version/relations/views/staleness] summary (SHOW

@@ -140,6 +140,162 @@ let transform (program : program) (query : atom) =
   in
   (seed :: List.rev !out, adorned_name query.pred query_ad)
 
+(* ------------------------------------------------------------------ *)
+(* Factoring for right-linear recursion (Naughton, Ramakrishnan, Sagiv,
+   Ullman, "Argument reduction by factoring", VLDB 1989).
+
+   Take a query predicate p whose rules read only EDB predicates besides
+   p itself, and whose recursive rules each hold one p atom that receives
+   the head's free-position arguments unchanged — variables that occur
+   nowhere else in the rule:
+
+     p(X̄, Ȳ) :- B1, p(Z̄, Ȳ), B2.        (Ȳ free, not in B1, B2, X̄, Z̄)
+     p(X̄, T̄) :- E.                       (exit rules)
+
+   Every answer of p(c̄, ·) is then an exit answer at some binding x̄
+   reachable from c̄ through the recursive rules' bound arguments, so the
+   adorned program (which also builds p(x̄, ·) for every reachable x̄) can
+   be replaced by
+
+     m(c̄).
+     m(Z̄) :- m(X̄), B1, B2.
+     ans(T̄) :- m(X̄), E.
+
+   For a right-linear closure queried from a source this is single-source
+   reachability: O(reachable) derived facts instead of O(reachable²). *)
+
+type factored = {
+  f_program : program;  (** seed, magic rules, answer rules *)
+  f_answer : string;  (** predicate holding the free-position values *)
+  f_query : atom;  (** the original query *)
+  f_bound : bool list;  (** the query's adornment *)
+}
+
+let answer_name p ad = Fmt.str "ans_%s__%s" p (adornment_string ad)
+let free_args (a : atom) (ad : adornment) =
+  List.filteri (fun i _ -> not (List.nth ad i)) a.args
+
+let factor (program : program) (query : atom) =
+  let ( let* ) = Result.bind in
+  let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
+  let p = query.pred in
+  let idb = idb_preds program in
+  let* ad =
+    if List.exists (function Binop _ -> true | _ -> false) query.args then
+      fail "computed query argument"
+    else
+      Ok (List.map (function Const _ -> true | Var _ | Binop _ -> false) query.args)
+  in
+  let* () =
+    if not (SS.mem p idb) then fail "%s is not derived" p
+    else if not (List.mem true ad) then fail "no bound argument"
+    else Ok ()
+  in
+  let m = magic_name p ad and ans = answer_name p ad in
+  let magic_atom (a : atom) = Pos { pred = m; args = bound_args a ad } in
+  let vars_of_terms ts = List.concat_map term_vars ts in
+  let factor_rule (r : rule) =
+    let* () =
+      if List.exists (function Binop _ -> true | _ -> false) r.head.args then
+        fail "computed head argument"
+      else Ok ()
+    in
+    let* recursive =
+      List.fold_left
+        (fun acc lit ->
+          let* found = acc in
+          match lit with
+          | Neg _ -> fail "negation"
+          | Test _ -> Ok found
+          | Pos a when String.equal a.pred p -> (
+            match found with
+            | None -> Ok (Some a)
+            | Some _ -> fail "%s is nonlinear (two recursive atoms)" p)
+          | Pos a when SS.mem a.pred idb ->
+            fail "%s reads derived predicate %s (not alone in its SCC)" p a.pred
+          | Pos _ -> Ok found)
+        (Ok None) r.body
+    in
+    match recursive with
+    | None ->
+      (* exit rule: ans(free head args) :- m(bound head args), body *)
+      Ok { head = { pred = ans; args = free_args r.head ad };
+           body = magic_atom r.head :: r.body }
+    | Some call ->
+      let head_free = free_args r.head ad in
+      let* () =
+        if
+          List.for_all (function Var _ -> true | _ -> false) head_free
+          && head_free = free_args call ad
+        then Ok ()
+        else fail "the recursive call changes a free argument of %s" p
+      in
+      let rest =
+        List.filter (function Pos a -> a != call | _ -> true) r.body
+      in
+      let free_vars = vars_of_terms head_free in
+      let elsewhere =
+        vars_of_terms (bound_args r.head ad)
+        @ vars_of_terms (bound_args call ad)
+        @ List.concat_map lit_vars rest
+      in
+      let* () =
+        match List.find_opt (fun v -> List.mem v elsewhere) free_vars with
+        | Some v -> fail "free variable %s is reused in the rule body" v
+        | None -> Ok ()
+      in
+      let available =
+        vars_of_terms (bound_args r.head ad)
+        @ List.concat_map (function Pos a -> atom_vars a | _ -> []) rest
+      in
+      let* () =
+        match
+          List.find_opt
+            (fun v -> not (List.mem v available))
+            (vars_of_terms (bound_args call ad))
+        with
+        | Some v -> fail "bound argument %s of the recursive call is unbound" v
+        | None -> Ok ()
+      in
+      (* magic rule: m(bound call args) :- m(bound head args), rest *)
+      Ok { head = { pred = m; args = bound_args call ad };
+           body = magic_atom r.head :: rest }
+  in
+  let* rules =
+    List.fold_left
+      (fun acc r ->
+        let* rules = acc in
+        if String.equal r.head.pred p then
+          let* r' = factor_rule r in
+          Ok (r' :: rules)
+        else Ok rules)
+      (Ok []) program
+  in
+  let seed = { head = { pred = m; args = bound_args query ad }; body = [] } in
+  Ok { f_program = seed :: List.rev rules; f_answer = ans; f_query = query; f_bound = ad }
+
+(* Run a factored program and rebuild the query predicate's tuples: the
+   query constants at the bound positions, the answer values at the free
+   ones. *)
+let answer_factored ?guard ?stats ?trace (f : factored) (edb : Facts.t) =
+  let store = Seminaive.run ?guard ?stats ?trace f.f_program edb in
+  Facts.TS.map
+    (fun t ->
+      let free = ref (Dc_relation.Tuple.to_list t) in
+      Dc_relation.Tuple.of_list
+        (List.map2
+           (fun arg bound ->
+             match arg with
+             | Const c when bound -> c
+             | _ -> (
+               match !free with
+               | v :: rest ->
+                 free := rest;
+                 v
+               | [] -> assert false))
+           f.f_query.args f.f_bound))
+    (Facts.find store f.f_answer)
+
 (* Evaluate [query] against [program]/[edb] through the magic transform
    with semi-naive evaluation; returns the set of query-matching tuples of
    the original predicate. *)

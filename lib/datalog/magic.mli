@@ -32,3 +32,38 @@ val answer :
     returns the tuples of the original predicate matching the query
     constants.  [guard] is passed through to the semi-naive engine.
     @raise Dc_guard.Guard.Exhausted when the guard trips *)
+
+(** {1 Factoring for right-linear recursion}
+
+    Naughton, Ramakrishnan, Sagiv, Ullman, "Argument reduction by
+    factoring" (VLDB 1989).  When the query predicate's rules read only
+    EDB predicates besides itself, and each recursive rule passes the
+    head's free-position variables unchanged, and only, into the free
+    positions of its single recursive atom, the adorned program is
+    replaced by [m(c̄). m(Z̄) :- m(X̄), body.] plus one
+    [ans(t̄) :- m(X̄), exit_body.] per exit rule: O(reachable) derived
+    facts instead of O(reachable²). *)
+
+type factored = {
+  f_program : Syntax.program;  (** seed, magic rules, answer rules *)
+  f_answer : string;  (** predicate holding the free-position values *)
+  f_query : Syntax.atom;  (** the original query *)
+  f_bound : adornment;  (** the query's adornment *)
+}
+
+val factor : Syntax.program -> Syntax.atom -> (factored, string) result
+(** The factored program for [query], or why the condition fails
+    (nonlinear rule, mutual recursion, a reused or changed free
+    variable, no bound argument, negation). *)
+
+val answer_factored :
+  ?guard:Dc_guard.Guard.t ->
+  ?stats:Seminaive.stats ->
+  ?trace:Dc_exec.Ir.trace ->
+  factored ->
+  Facts.t ->
+  Facts.TS.t
+(** Evaluate a factored program with semi-naive evaluation; returns the
+    tuples of the original predicate matching the query (the same set
+    {!answer} returns).
+    @raise Dc_guard.Guard.Exhausted when the guard trips *)

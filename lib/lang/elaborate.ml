@@ -3,8 +3,9 @@
    [Dc_core.Database].
 
    This plays the front half of the DBPL compiler: after elaboration,
-   everything is checked by [Typecheck] (via [Database]) and evaluated by
-   the fixpoint machinery; EXPLAIN goes through [Dc_compile.Planner]. *)
+   everything is checked by [Typecheck] (via [Database]); every read —
+   QUERY, PRINT, EXPLAIN — is planned and executed by
+   [Dc_compile.Planner] against the statement's read source. *)
 
 open Dc_relation
 open Dc_calculus
@@ -60,6 +61,14 @@ let with_snapshot env snap f =
   | None ->
     env.pinned <- Some snap;
     Fun.protect ~finally:(fun () -> env.pinned <- None) f
+
+(* The read source of the statement in progress: the pinned snapshot
+   (an open BEGIN ... COMMIT, or a server session's statement snapshot),
+   else the live database.  Every read is planned against it. *)
+let source env =
+  match env.pinned with
+  | Some snap -> Snapshot.source snap
+  | None -> Database.source env.db
 
 (* ------------------------------------------------------------------ *)
 (* Types *)
@@ -373,41 +382,27 @@ let execute_decl env decl =
     Database.set_limits env.db limits
   | D_query r | D_print r -> (
     let range = lower_range env empty_scope r in
-    match env.pinned with
-    | Some snap -> (
-      (* pinned transaction: evaluate against the frozen snapshot *)
-      match Snapshot.query snap range with
-      | result ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Relation.pp_table result
-      | exception Guard.Exhausted (reason, progress) ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Guard.pp_report (reason, progress))
-    | None -> (
-      (* under metrics, queries run traced so the registry accumulates
-         per-operator row totals even without EXPLAIN *)
-      let trace =
-        if Obs.on () then Some (Dc_exec.Ir.Trace.create ()) else None
-      in
-      match Database.query ?trace env.db range with
-      | result ->
-        Option.iter Dc_exec.Ir.Trace.register_metrics trace;
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Relation.pp_table result
-      | exception Guard.Exhausted (reason, progress) ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Guard.pp_report (reason, progress)))
+    (* under metrics, reads run traced so the registry accumulates
+       per-operator row totals even without EXPLAIN *)
+    let trace = if Obs.on () then Some (Dc_exec.Ir.Trace.create ()) else None in
+    match Dc_compile.Planner.read ?trace (source env) range with
+    | _, result ->
+      Option.iter Dc_exec.Ir.Trace.register_metrics trace;
+      output env "QUERY %s@\n%a@\n@\n"
+        (Ast.range_to_string range)
+        Relation.pp_table result
+    | exception Guard.Exhausted (reason, progress) ->
+      output env "QUERY %s@\n%a@\n@\n"
+        (Ast.range_to_string range)
+        Guard.pp_report (reason, progress))
   | D_explain r -> (
     let range = lower_range env empty_scope r in
-    let decision = Dc_compile.Planner.plan env.db range in
+    let src = source env in
+    let decision = Dc_compile.Planner.plan_on src range in
     (* run the decision under a trace: EXPLAIN shows the physical operator
        pipelines actually executed, with their row/probe counters *)
     let trace = Dc_exec.Ir.Trace.create () in
-    match Dc_compile.Planner.execute ~trace env.db decision with
+    match Dc_compile.Planner.execute_on ~trace src decision with
     | _ ->
       Dc_exec.Ir.Trace.register_metrics trace;
       output env "EXPLAIN %s@\n%a"
@@ -423,7 +418,8 @@ let execute_decl env decl =
       output env "%a@\n@\n" Guard.pp_report (reason, progress))
   | D_explain_analyze r -> (
     let range = lower_range env empty_scope r in
-    let decision = Dc_compile.Planner.plan env.db range in
+    let src = source env in
+    let decision = Dc_compile.Planner.plan_on src range in
     let trace = Dc_exec.Ir.Trace.create () in
     (* per-round series: a Magic decision runs the translated program
        through the semi-naive engine (these stats), everything else that
@@ -463,7 +459,7 @@ let execute_decl env decl =
     in
     match
       Dc_exec.Ir.profiled (fun () ->
-          Dc_compile.Planner.execute ~trace ~datalog_stats:dstats env.db
+          Dc_compile.Planner.execute_on ~trace ~datalog_stats:dstats src
             decision)
     with
     | _ ->

@@ -401,7 +401,10 @@ let execute s src = execute_program s (Dc_lang.Parser.parse src)
    admission-control budgets. *)
 let session_guard s = Guard.of_limits s.limits
 
-let query s range =
+(* The library-level read: the same planned path as a QUERY statement,
+   against the session's snapshot (pinned or latest), under the
+   session's guard, on a pool worker domain. *)
+let read s range =
   if not s.open_ then error "session %d is closed" s.id;
   let snap =
     match Dc_lang.Elaborate.pinned s.env with
@@ -409,7 +412,15 @@ let query s range =
     | None -> Database.snapshot s.server.db
   in
   Dc_par.Par.run (fun () ->
-      (Snapshot.query ~guard:(session_guard s) snap range, Snapshot.version snap))
+      let decision, rel =
+        Dc_compile.Planner.read ~guard:(session_guard s) (Snapshot.source snap)
+          range
+      in
+      (decision, rel, Snapshot.version snap))
+
+let query s range =
+  let _, rel, version = read s range in
+  (rel, version)
 
 let query_string s src =
   if not s.open_ then error "session %d is closed" s.id;

@@ -87,10 +87,18 @@ val execute_program : session -> Dc_lang.Surface.program -> string
     group. *)
 
 val query : session -> Dc_calculus.Ast.range -> Dc_relation.Relation.t * int
-(** Library-level read: evaluate a calculus range against the session's
-    current snapshot (pinned or latest) under the session's guard
-    limits, returning the result and the snapshot version it observed.
-    Never touches the writer; evaluates on a pool worker domain. *)
+(** Library-level read: plan and execute a calculus range
+    ({!Dc_compile.Planner.read}) against the session's current snapshot
+    (pinned or latest) under the session's guard limits, returning the
+    result and the snapshot version it observed.  Never touches the
+    writer; evaluates on a pool worker domain. *)
+
+val read :
+  session ->
+  Dc_calculus.Ast.range ->
+  Dc_compile.Planner.decision * Dc_relation.Relation.t * int
+(** {!query}, also returning the planner's decision (the method the read
+    ran). *)
 
 val query_string : session -> string -> Dc_relation.Relation.t * int
 (** Parse a single [QUERY ...;] statement and evaluate it as {!query} —

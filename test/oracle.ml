@@ -564,3 +564,134 @@ let check_agg_seed seed =
   check_shortest_path_seed seed;
   check_bom_rollup_seed seed;
   check_negation_seed seed
+
+(* ------------------------------------------------------------------ *)
+(* The planned read path against direct evaluation.  Each seeded case's
+   program becomes a constructor system over its EDB in a fresh database
+   (the §3.4 translation); for every argument position of the query
+   predicate, a constant restriction read through [Planner.read] must
+   return exactly the direct fixpoint filtered by that constant — on the
+   live database and on its published snapshot, traced and untraced, at
+   P = 1 and P = 4.  Traced reads must also take the untraced decision. *)
+
+module Database = Dc_core.Database
+module Snapshot = Dc_core.Snapshot
+module Planner = Dc_compile.Planner
+module Ast = Dc_calculus.Ast
+
+let column_schema types =
+  Schema.make (List.mapi (fun i ty -> (Fmt.str "c%d" i, ty)) types)
+
+let arity_of program pred =
+  List.find_map
+    (fun r ->
+      List.find_map
+        (function
+          | Pos a | Neg a -> if String.equal a.pred pred then Some (List.length a.args) else None
+          | Test _ -> None)
+        (Pos r.head :: r.body))
+    program
+  |> Option.value ~default:0
+
+(* EDB columns take the types of the case's tuples; derived columns hold
+   node or part names in every seeded shape *)
+let database_of_program program edb =
+  let schema_of pred =
+    column_schema
+      (match TS.choose_opt (Facts.find edb pred) with
+      | Some t -> List.map Value.type_of (Tuple.to_list t)
+      | None -> List.init (arity_of program pred) (fun _ -> Value.TStr))
+  in
+  let db = Database.create () in
+  SS.iter
+    (fun p ->
+      Database.declare db p (schema_of p);
+      Database.set db p (Facts.to_relation (schema_of p) edb p))
+    (edb_preds program);
+  let defs, bottoms = Translate.to_constructors schema_of program in
+  List.iter (fun (n, s) -> Database.declare db n s) bottoms;
+  Database.define_constructors db defs;
+  db
+
+let application pred = Ast.Construct (Ast.Rel ("__bottom_" ^ pred), pred, [])
+
+let restricted pred pos v =
+  Ast.Comp
+    [
+      {
+        Ast.binders = [ ("r", application pred) ];
+        target = [];
+        where = Ast.Cmp (Ast.Eq, Ast.Field ("r", Fmt.str "c%d" pos), Ast.Const v);
+      };
+    ]
+
+let factored_name (d : Planner.decision) =
+  match d.d_method with
+  | Planner.Magic { factored = Ok _; _ } -> "factored"
+  | m -> Planner.method_name m
+
+let rel_ts rel = Relation.fold TS.add rel TS.empty
+
+(* Every argument position, for up to three constants seen there plus
+   one absent constant.  Returns the methods the planner chose. *)
+let check_planned_case ~msg program edb pred arity =
+  let db = database_of_program program edb in
+  let full = Database.query db (application pred) in
+  let sources =
+    [ ("database", Database.source db);
+      ("snapshot", Snapshot.source (Database.snapshot db)) ]
+  in
+  let chosen = ref [] in
+  for pos = 0 to arity - 1 do
+    let seen =
+      Relation.fold
+        (fun t acc ->
+          let v = Tuple.get t pos in
+          if List.exists (Value.equal v) acc then acc else v :: acc)
+        full []
+    in
+    let values =
+      List.filteri (fun i _ -> i < 3) (List.rev seen) @ [ Value.str "absent" ]
+    in
+    List.iter
+      (fun v ->
+        let q = restricted pred pos v in
+        let expected =
+          TS.filter (fun t -> Value.equal (Tuple.get t pos) v) (rel_ts full)
+        in
+        List.iter
+          (fun p ->
+            Dc_par.Par.with_domains p (fun () ->
+                Dc_par.Par.with_seq_cutoff 1 (fun () ->
+                    List.iter
+                      (fun (where, src) ->
+                        let what =
+                          Fmt.str "%s: %s c%d = %a on the %s at P=%d" msg pred
+                            pos Value.pp v where p
+                        in
+                        let d, got = Planner.read src q in
+                        let traced, got_traced =
+                          Planner.read ~trace:(Ir.Trace.create ()) src q
+                        in
+                        Alcotest.check facts_testable (what ^ ": planned = direct")
+                          expected (rel_ts got);
+                        Alcotest.check facts_testable (what ^ ": traced rows")
+                          expected (rel_ts got_traced);
+                        Alcotest.(check string) (what ^ ": traced decision")
+                          (factored_name d) (factored_name traced);
+                        chosen := factored_name d :: !chosen)
+                      sources)))
+          [ 1; 4 ])
+      values
+  done;
+  List.sort_uniq String.compare !chosen
+
+(* One seeded pass over every workload shape (graph, sg, mutual, BOM). *)
+let check_planned_seed seed =
+  List.concat_map
+    (fun shape ->
+      let c = shape (Rng.create seed) in
+      let msg = Fmt.str "seed %d: %s" seed c.case_name in
+      check_planned_case ~msg c.case_program c.case_edb c.case_pred c.case_arity)
+    shapes
+  |> List.sort_uniq String.compare

@@ -641,6 +641,126 @@ let prop_planner_agrees =
           Relation.equal (Database.query db q) (Planner.execute db d))
         [ ("tc", "src"); ("ahead2", "head") ])
 
+(* ------------------------------------------------------------------ *)
+(* The planned read path: planned = direct, factoring *)
+
+module Syn = Dc_datalog.Syntax
+module Magic = Dc_datalog.Magic
+module Facts = Dc_datalog.Facts
+
+(* planned = direct fixpoint then filter, for every bound position of
+   every seeded workload (graph, sg, mutual, BOM) at P = 1 and P = 4 *)
+let test_planned_oracle () =
+  let methods =
+    List.sort_uniq String.compare
+      (List.concat_map Oracle.check_planned_seed [ 1; 2; 3; 4; 5; 6 ])
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (m ^ " exercised") true (List.mem m methods))
+    [ "factored"; "magic (capture rule)" ]
+
+let factored_decision program edb pred pos v =
+  let db = Oracle.database_of_program program edb in
+  let d = Planner.plan db (Oracle.restricted pred pos v) in
+  match d.Planner.d_method with
+  | Planner.Magic { factored; _ } -> factored
+  | m -> Alcotest.failf "expected magic, got %s" (Planner.method_name m)
+
+let small_graph =
+  Oracle.edb_of_relation "edge"
+    (Dc_workload.Graph_gen.of_pairs [ (0, 1); (1, 2); (2, 0); (2, 3) ])
+
+let node0 = Dc_workload.Graph_gen.node 0
+
+let expect_not_factored what = function
+  | Ok _ -> Alcotest.failf "%s: factored, but must not be" what
+  | Error _ -> ()
+
+let test_factoring_decisions () =
+  (match factored_decision Oracle.tc_linear small_graph "path" 0 node0 with
+  | Ok _ -> ()
+  | Error why -> Alcotest.failf "right-linear source query not factored: %s" why);
+  (match factored_decision Oracle.tc_left_linear small_graph "path" 1 node0 with
+  | Ok _ -> ()
+  | Error why -> Alcotest.failf "left-linear target query not factored: %s" why);
+  (* the free variable Y is reused by mark(Y) *)
+  let reused =
+    Syn.
+      [
+        rule (atom "path" [ var "X"; var "Y" ]) [ Pos (atom "edge" [ var "X"; var "Y" ]) ];
+        rule
+          (atom "path" [ var "X"; var "Y" ])
+          [
+            Pos (atom "edge" [ var "X"; var "Z" ]);
+            Pos (atom "path" [ var "Z"; var "Y" ]);
+            Pos (atom "mark" [ var "Y" ]);
+          ];
+      ]
+  in
+  let marked =
+    Facts.add small_graph "mark" (Tuple.make1 (Dc_workload.Graph_gen.node 3))
+  in
+  expect_not_factored "free variable reused"
+    (factored_decision reused marked "path" 0 node0);
+  (* mutual recursion: even reads odd *)
+  let mutual_edb = Facts.add small_graph "start" (Tuple.make1 node0) in
+  expect_not_factored "mutual recursion"
+    (factored_decision Oracle.mutual_program mutual_edb "even" 0
+       (Dc_workload.Graph_gen.node 2));
+  (* nonlinear tcn: two recursive atoms *)
+  expect_not_factored "nonlinear"
+    (factored_decision Oracle.tc_nonlinear small_graph "path" 0 node0);
+  (* sg changes the free argument on the way down *)
+  expect_not_factored "same generation"
+    (factored_decision Oracle.sg_program
+       (Facts.of_relation "up" (Dc_workload.Graph_gen.of_pairs [ (0, 1) ])
+          (Facts.of_relation "flat" (Dc_workload.Graph_gen.of_pairs [ (1, 1) ])
+             (Facts.of_relation "down" (Dc_workload.Graph_gen.of_pairs [ (1, 2) ])
+                (Facts.empty ()))))
+       "sg" 0 node0)
+
+(* Property: factored magic = plain magic = semi-naive on random cyclic
+   graphs, for the right- and the left-linear closure, queried from
+   either end.  Factoring must apply where the recursion passes the free
+   argument through (right-linear from a source, left-linear to a
+   target) and must not elsewhere. *)
+let prop_factored_agrees =
+  let arb =
+    QCheck.(
+      pair
+        (list_of_size Gen.(5 -- 30) (pair (int_bound 7) (int_bound 7)))
+        (int_bound 7))
+  in
+  QCheck.Test.make ~name:"factored = plain magic = semi-naive" ~count:60 arb
+    (fun (pairs, k) ->
+      let edb = Oracle.edb_of_relation "edge" (Dc_workload.Graph_gen.of_pairs pairs) in
+      let c = Dc_workload.Graph_gen.node k in
+      List.for_all
+        (fun (program, pos, should_factor) ->
+          let q =
+            Syn.atom "path"
+              (if pos = 0 then [ Syn.Const c; Syn.var "Y" ]
+               else [ Syn.var "X"; Syn.Const c ])
+          in
+          let reference =
+            Facts.TS.filter
+              (fun t -> Value.equal (Tuple.get t pos) c)
+              (Dc_datalog.Seminaive.query program edb "path")
+          in
+          let plain = Magic.answer program edb q in
+          Facts.TS.equal reference plain
+          &&
+          match Magic.factor program q with
+          | Ok f -> should_factor && Facts.TS.equal reference (Magic.answer_factored f edb)
+          | Error _ -> not should_factor)
+        [
+          (Oracle.tc_linear, 0, true);
+          (Oracle.tc_linear, 1, false);
+          (Oracle.tc_left_linear, 0, false);
+          (Oracle.tc_left_linear, 1, true);
+        ])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -708,5 +828,15 @@ let () =
             test_materialize_insert_random;
           Alcotest.test_case "delete recomputes" `Quick test_materialize_delete;
         ] );
-      ("properties", qcheck [ prop_planner_agrees; prop_plan_equals_direct ]);
+      ( "read path",
+        [
+          Alcotest.test_case "planned = direct (seeded workloads, P=1,4)"
+            `Quick test_planned_oracle;
+          Alcotest.test_case "factoring decisions" `Quick
+            test_factoring_decisions;
+        ] );
+      ( "properties",
+        qcheck
+          [ prop_planner_agrees; prop_plan_equals_direct; prop_factored_agrees ]
+      );
     ]

@@ -10,6 +10,12 @@
    aggregate stratum feeding positive recursion, and stratified COUNT
    with a discriminator column.
 
+   Every positive example also runs statement by statement through a
+   server session ([Server.execute_program], the path `dbpl serve`
+   takes, reads on published snapshots), and that transcript must be
+   byte-identical to the [Elaborate.run_string] one: the REPL's and the
+   server's reads share one planned path and must not drift apart.
+
    nonmonotone.dbpl is the negative example: it must be REJECTED at
    declaration with the positivity error the file's header documents. *)
 
@@ -50,6 +56,22 @@ let golden example () =
   let _, out = Dc_lang.Elaborate.run_string src in
   Alcotest.(check string) (example ^ ".dbpl transcript") expected out
 
+let session_transcript src =
+  let srv = Dc_server.Server.create (Database.create ()) in
+  let s = Dc_server.Server.open_session srv in
+  Fun.protect
+    ~finally:(fun () ->
+      Dc_server.Server.close_session s;
+      Dc_server.Server.shutdown srv)
+    (fun () -> Dc_server.Server.execute_program s (Dc_lang.Parser.parse src))
+
+let served_equals_run example () =
+  let src = read (find (example ^ ".dbpl")) in
+  let _, out = Dc_lang.Elaborate.run_string src in
+  Alcotest.(check string)
+    (example ^ ".dbpl: session transcript = run transcript")
+    out (session_transcript src)
+
 let test_nonmonotone_rejected () =
   let src = read (find "nonmonotone.dbpl") in
   match Dc_lang.Elaborate.run_string src with
@@ -73,6 +95,13 @@ let () =
           Alcotest.test_case "frequent_paths (COUNT + discriminator)" `Quick
             (golden "frequent_paths");
         ] );
+      ( "served",
+        List.map
+          (fun ex -> Alcotest.test_case ex `Quick (served_equals_run ex))
+          [
+            "shortest_path"; "bom_rollup"; "company_control"; "frequent_paths";
+            "same_generation"; "cad_scene"; "paper_walkthrough";
+          ] );
       ( "rejection",
         [
           Alcotest.test_case "nonmonotone.dbpl rejected" `Quick

@@ -255,6 +255,36 @@ let test_explain_golden () =
   Alcotest.(check string) "EXPLAIN output on same_generation.dbpl"
     (read_file expected) out
 
+(* The right-linear closure: a point restriction runs the factored
+   capture rule; once a live view answers the application, the view
+   comes first. *)
+let right_linear_program =
+  {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+INSERT Edge VALUES ("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n4");
+EXPLAIN {EACH p IN Edge{tc()}: p.a = "n2"};
+QUERY {EACH p IN Edge{tc()}: p.a = "n2"};
+MATERIALIZE Edge{tc()};
+EXPLAIN {EACH p IN Edge{tc()}: p.a = "n2"};
+|}
+
+let test_explain_right_linear_golden () =
+  let expected =
+    find_file
+      [
+        "explain_right_linear.expected"; "test/explain_right_linear.expected";
+        "../test/explain_right_linear.expected";
+      ]
+  in
+  let _, out = Dc_lang.Elaborate.run_string right_linear_program in
+  Alcotest.(check string) "EXPLAIN output on the right-linear closure"
+    (read_file expected) out
+
 (* Wall-clock readings make EXPLAIN ANALYZE output nondeterministic; the
    golden comparison replaces every [<digits>[.<digits>]ms] with [<N>ms]
    and keeps everything else (tree shape, rows, probes, round deltas)
@@ -380,5 +410,7 @@ let () =
           Alcotest.test_case "golden output" `Quick test_explain_golden;
           Alcotest.test_case "analyze golden output" `Quick
             test_explain_analyze_golden;
+          Alcotest.test_case "right-linear golden (factored, view first)" `Quick
+            test_explain_right_linear_golden;
         ] );
     ]

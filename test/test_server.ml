@@ -127,7 +127,8 @@ let test_snapshot_immutable () =
     (Snapshot.get s2 "Edge");
   (* old snapshots keep answering queries *)
   Alcotest.(check int) "query old version" 1
-    (Relation.cardinal (Snapshot.query s1 (Ast.Rel "Edge")))
+    (Relation.cardinal
+       (snd (Dc_compile.Planner.read (Snapshot.source s1) (Ast.Rel "Edge"))))
 
 let test_update_batch_one_version () =
   let db = Database.create () in
@@ -318,6 +319,142 @@ let test_show_snapshot_golden () =
   Alcotest.(check string) "golden" golden shown
 
 (* ------------------------------------------------------------------ *)
+(* One planned read path *)
+
+module Planner = Dc_compile.Planner
+
+(* the surface right-linear closure the socket and read-path tests serve *)
+let socket_setup =
+  {|
+TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+|}
+
+
+let chain_setup n =
+  Fmt.str "%s\nINSERT Edge VALUES %s;" socket_setup
+    (String.concat ", "
+       (List.init n (fun i -> Fmt.str "(\"n%d\", \"n%d\")" i (i + 1))))
+
+let method_line out =
+  match
+    List.find_opt
+      (fun l -> String.length l > 8 && String.sub l 0 8 = "method: ")
+      (String.split_on_char '\n' out)
+  with
+  | Some l -> String.sub l 8 (String.length l - 8)
+  | None -> Alcotest.failf "no method line in:\n%s" out
+
+(* what EXPLAIN prints is what the served read ran: the same source
+   text, through the session's EXPLAIN and through the library read *)
+let test_explain_matches_served () =
+  let srv = Server.create (Database.create ()) in
+  let s = Server.open_session srv in
+  ignore (Server.execute s (chain_setup 12));
+  let check ~expect src =
+    let range =
+      match Dc_lang.Parser.parse (Fmt.str "QUERY %s;" src) with
+      | [ Dc_lang.Surface.D_query r ] ->
+        Dc_lang.Elaborate.lower_query (Dc_lang.Elaborate.create (Server.db srv)) r
+      | _ -> Alcotest.fail "not one query"
+    in
+    let explained = method_line (Server.execute s (Fmt.str "EXPLAIN %s;" src)) in
+    let d, rel, _ = Server.read s range in
+    Alcotest.(check string) (src ^ ": EXPLAIN = served") explained
+      (Planner.method_name d.Planner.d_method);
+    Alcotest.(check string) (src ^ ": method") expect explained;
+    Alcotest.check rel_testable (src ^ ": rows = direct")
+      (Database.query (Server.db srv) range)
+      rel;
+    d
+  in
+  let point = {|{EACH p IN Edge{tc()}: p.a = "n3"}|} in
+  (match (check ~expect:"magic (capture rule)" point).Planner.d_method with
+  | Planner.Magic { factored = Ok _; _ } -> ()
+  | _ -> Alcotest.fail "right-linear point read not factored");
+  ignore (check ~expect:"direct fixpoint" "Edge{tc()}");
+  ignore (Server.execute s "MATERIALIZE Edge{tc()};");
+  ignore (check ~expect:"maintained view" point);
+  ignore (check ~expect:"maintained view" "Edge{tc()}");
+  Server.close_session s;
+  Server.shutdown srv
+
+(* per-session budgets govern the capture rule too *)
+let test_limits_on_magic_path () =
+  let srv = Server.create (Database.create ()) in
+  let setup = Server.open_session srv in
+  ignore (Server.execute setup (chain_setup 20));
+  let range =
+    Ast.Comp
+      [
+        {
+          Ast.binders = [ ("p", Ast.Construct (Ast.Rel "Edge", "tc", [])) ];
+          target = [];
+          where = Ast.(eq (field "p" "a") (str "n0"));
+        };
+      ]
+  in
+  let d, rel, _ = Server.read setup range in
+  (match d.Planner.d_method with
+  | Planner.Magic _ -> ()
+  | m -> Alcotest.failf "expected magic, got %s" (Planner.method_name m));
+  Alcotest.(check int) "roomy session: whole suffix" 20 (Relation.cardinal rel);
+  let tight = Server.open_session ~limits:(Guard.limits ~rows:3 ()) srv in
+  (match Server.query tight range with
+  | _ -> Alcotest.fail "row budget never tripped on the magic path"
+  | exception Guard.Exhausted (Guard.Rows_exhausted _, _) -> ());
+  let out =
+    Server.execute tight {|QUERY {EACH p IN Edge{tc()}: p.a = "n0"};|}
+  in
+  Alcotest.(check bool) "statement read reports the trip" true
+    (contains_s out "exhausted" || contains_s out "budget");
+  (* and the scan of a view's extent *)
+  ignore (Server.execute setup "MATERIALIZE Edge{tc()};");
+  (match Server.read tight range with
+  | _ -> Alcotest.fail "row budget never tripped on the view path"
+  | exception Guard.Exhausted (Guard.Rows_exhausted _, _) -> ());
+  let d, rel, _ = Server.read setup range in
+  Alcotest.(check string) "roomy session: served from the view"
+    "maintained view" (Planner.method_name d.Planner.d_method);
+  Alcotest.(check int) "roomy session: same suffix" 20 (Relation.cardinal rel);
+  Server.close_session tight;
+  Server.close_session setup;
+  Server.shutdown srv
+
+let example_source base =
+  let candidates =
+    [ Filename.concat "../examples" base; Filename.concat "examples" base ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> In_channel.with_open_text p In_channel.input_all
+  | None -> Alcotest.failf "%s not found" base
+
+(* unmaterialized aggregates served from a snapshot take the aggregate
+   evaluator, as [dbpl run] does: a recursive MIN and a SUM rollup *)
+let test_served_aggregates () =
+  List.iter
+    (fun (example, query, rows) ->
+      let src = example_source example in
+      let _, expected = Dc_lang.Elaborate.run_string src in
+      let srv = Server.create (Database.create ()) in
+      let s = Server.open_session srv in
+      let served = Server.execute s src in
+      Alcotest.(check string) (example ^ ": served = run") expected served;
+      let rel, _ = Server.query_string s query in
+      Alcotest.(check int) (example ^ ": " ^ query) rows (Relation.cardinal rel);
+      Server.close_session s;
+      Server.shutdown srv)
+    [
+      ("shortest_path.dbpl", "QUERY Road{shortest()};", 12);
+      ("bom_rollup.dbpl", "QUERY Sub{rollup(Cost)};", 3);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* The stress test: 1 writer, N readers, sequential replay oracle *)
 
 let nodes = 10
@@ -387,25 +524,37 @@ let build_oracle rng init =
   in
   (batches, expected_edge, expected_path)
 
-let test_stress seed () =
+(* every third read restricts the closure to one source node: the
+   planner serves it from the live view when there is one, and otherwise
+   through the capture rule (factored for the right-linear program) *)
+let point_range path_range node =
+  Ast.Comp
+    [
+      {
+        Ast.binders = [ ("p", path_range) ];
+        target = [];
+        where = Ast.(eq (field "p" "src") (Const node));
+      };
+    ]
+
+let test_stress ?(program = Oracle.tc_nonlinear) ?(materialize = true) seed ()
+    =
   let rng = Rng.create seed in
   let init =
     Graph_gen.random_graph ~seed:(Rng.int rng 1_000_000) ~nodes
       ~edges:(2 * nodes)
   in
   let batches, expected_edge, expected_path = build_oracle rng init in
-  (* live database: edge + a maintained transitive closure view *)
+  (* live database: edge + the transitive closure, maintained or not *)
   let db = Database.create () in
   Database.declare db "edge" Graph_gen.edge_schema;
   Database.set db "edge" init;
   let schema_of _ = Graph_gen.edge_schema in
-  let defs, bottoms = Translate.to_constructors schema_of Oracle.tc_nonlinear in
+  let defs, bottoms = Translate.to_constructors schema_of program in
   List.iter (fun (n, s) -> Database.declare db n s) bottoms;
   Database.define_constructors db defs;
-  let view =
-    Ivm.materialize db ~constructor:"path" ~base:"__bottom_path" ~args:[]
-  in
-  ignore view;
+  if materialize then
+    ignore (Ivm.materialize db ~constructor:"path" ~base:"__bottom_path" ~args:[]);
   let srv = Server.create db in
   let v0 = Database.version db in
   let path_range = Ast.Construct (Ast.Rel "__bottom_path", "path", []) in
@@ -427,10 +576,15 @@ let test_stress seed () =
     let s = Server.open_session srv in
     let last_v = ref (-1) in
     for i = 1 to reads_per_reader do
-      let want_path = (i + r) mod 2 = 0 in
-      let rel, v =
-        Server.query s (if want_path then path_range else Ast.Rel "edge")
+      let kind = (i + r) mod 3 in
+      let source = Graph_gen.node ((i * 7 + r) mod nodes) in
+      let range =
+        match kind with
+        | 0 -> path_range
+        | 1 -> point_range path_range source
+        | _ -> Ast.Rel "edge"
       in
+      let rel, v = Server.query s range in
       let idx = v - v0 in
       if idx < 0 || idx > writer_batches then
         record "seed %d reader %d read %d: version %d outside [%d, %d]" seed r
@@ -440,21 +594,30 @@ let test_stress seed () =
           seed r i v !last_v
       else begin
         last_v := v;
-        if want_path then begin
+        match kind with
+        | 0 | 1 ->
+          let expected =
+            if kind = 0 then expected_path.(idx)
+            else
+              TS.filter
+                (fun t -> Value.equal (Tuple.get t 0) source)
+                expected_path.(idx)
+          in
           let got = ts_of_relation rel in
-          if not (TS.equal expected_path.(idx) got) then
+          if not (TS.equal expected got) then
             record
-              "seed %d reader %d read %d: path at version %d diverged from \
+              "seed %d reader %d read %d: %s at version %d diverged from \
                oracle (%d vs %d tuples)"
-              seed r i v (TS.cardinal got)
-              (TS.cardinal expected_path.(idx))
-        end
-        else if not (Relation.equal expected_edge.(idx) rel) then
-          record
-            "seed %d reader %d read %d: edge at version %d diverged from \
-             oracle (%d vs %d tuples)"
-            seed r i v (Relation.cardinal rel)
-            (Relation.cardinal expected_edge.(idx))
+              seed r i
+              (if kind = 0 then "path" else "point path")
+              v (TS.cardinal got) (TS.cardinal expected)
+        | _ ->
+          if not (Relation.equal expected_edge.(idx) rel) then
+            record
+              "seed %d reader %d read %d: edge at version %d diverged from \
+               oracle (%d vs %d tuples)"
+              seed r i v (Relation.cardinal rel)
+              (Relation.cardinal expected_edge.(idx))
       end
     done;
     Server.close_session s
@@ -487,17 +650,6 @@ let test_stress seed () =
 (* The same contract over the wire: 1 writer, N TCP reader clients *)
 
 module Net = Dc_net.Net
-
-let socket_setup =
-  {|
-TYPE node = STRING;
-TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
-VAR Edge: edgerel;
-CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
-BEGIN EACH e IN Rel: TRUE,
-      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
-END tc;
-|}
 
 let ts_of_tuples tuples =
   List.fold_left (fun acc t -> TS.add t acc) TS.empty tuples
@@ -549,10 +701,16 @@ let test_socket_stress seed () =
     let last_v = ref (-1) in
     (try
        for i = 1 to reads_per_reader do
-         let want_path = (i + r) mod 2 = 0 in
+         let kind = (i + r) mod 3 in
+         let source = Graph_gen.node ((i * 7 + r) mod nodes) in
          let v, _cols, tuples =
            Net.Client.query c
-             (if want_path then "QUERY Edge{tc()};" else "QUERY Edge;")
+             (match kind with
+             | 0 -> "QUERY Edge{tc()};"
+             | 1 ->
+               Fmt.str "QUERY {EACH p IN Edge{tc()}: p.a = %a};" Value.pp
+                 source
+             | _ -> "QUERY Edge;")
          in
          let idx = v - v0 in
          if idx < 0 || idx > writer_batches then
@@ -566,14 +724,20 @@ let test_socket_stress seed () =
            last_v := v;
            let got = ts_of_tuples tuples in
            let expected =
-             if want_path then expected_path.(idx) else expected_edge_ts.(idx)
+             match kind with
+             | 0 -> expected_path.(idx)
+             | 1 ->
+               TS.filter
+                 (fun t -> Value.equal (Tuple.get t 0) source)
+                 expected_path.(idx)
+             | _ -> expected_edge_ts.(idx)
            in
            if not (TS.equal expected got) then
              record
                "seed %d client %d read %d: %s at version %d diverged from \
                 oracle (%d vs %d tuples)"
                seed r i
-               (if want_path then "tc" else "edge")
+               (match kind with 0 -> "tc" | 1 -> "point tc" | _ -> "edge")
                v (TS.cardinal got) (TS.cardinal expected)
          end
        done
@@ -640,11 +804,24 @@ let () =
           Alcotest.test_case "SHOW SNAPSHOT golden" `Quick
             test_show_snapshot_golden;
         ] );
+      ( "read path",
+        [
+          Alcotest.test_case "EXPLAIN method = served method" `Quick
+            test_explain_matches_served;
+          Alcotest.test_case "session limits on the magic and view paths" `Quick
+            test_limits_on_magic_path;
+          Alcotest.test_case "unmaterialized MIN and SUM served" `Quick
+            test_served_aggregates;
+        ] );
       ( "stress",
         [
           Alcotest.test_case "1 writer + 4 readers vs oracle" `Slow
             (test_stress 0xC0FFEE);
           Alcotest.test_case "1 writer + 4 socket readers vs oracle" `Slow
             (test_socket_stress 0xBEEF);
+          Alcotest.test_case "right-linear point reads, view live" `Slow
+            (test_stress ~program:Oracle.tc_linear 0xFACE);
+          Alcotest.test_case "right-linear point reads, no view" `Slow
+            (test_stress ~program:Oracle.tc_linear ~materialize:false 0xFADE);
         ] );
     ]
