@@ -23,12 +23,7 @@ open Dc_calculus
 open Dc_core
 
 type method_ =
-  | View of {
-      view : string;
-      extent : Relation.t;
-      residual : Ast.formula;
-      var : Ast.var;
-    }
+  | View of string (* direct evaluation, served by this live view *)
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
@@ -70,17 +65,17 @@ let translate_ctx db = source_ctx (Database.source db)
 (* The live view answering [Base{c(args)}], when the application names
    its base and relation arguments directly (the shape MATERIALIZE
    accepts) and a view over exactly those values is live. *)
-let view_answer (src : Source.t) def = function
-  | Ast.Construct (Ast.Rel base, _, args) -> (
+let view_answer (src : Source.t) = function
+  | Ast.Construct (Ast.Rel base, c, args) -> (
     let arg = function
       | Ast.Arg_scalar (Ast.Const c) -> Some (Eval.V_scalar c)
       | Ast.Arg_range (Ast.Rel n) -> Option.map (fun r -> Eval.V_rel r) (src.get n)
       | _ -> None
     in
     let args = List.map arg args in
-    match src.get base with
-    | Some base when List.for_all Option.is_some args ->
-      src.serve def base (List.map Option.get args)
+    match src.constructor c, src.get base with
+    | Some def, Some base when List.for_all Option.is_some args ->
+      src.view_for def base (List.map Option.get args)
     | _ -> None)
   | _ -> None
 
@@ -142,75 +137,79 @@ let plan_on (src : Source.t) (query : Ast.range) =
         | None -> false)
       (Vars.apps_of_range query)
   in
+  let restricted = Pushdown.restricted_application query in
+  let view =
+    match restricted with
+    | Some (_, app, _) -> Option.map (fun v -> (v, app)) (view_answer src app)
+    | None -> None
+  in
   let method_ =
-    match Pushdown.restricted_application query, aggregated with
-    | Some (v, (Ast.Construct (_, c, _) as app), where), _ -> (
-      let bindings, residual = Pushdown.constant_bindings v where in
-      match
-        Option.bind (src.constructor c) (fun def -> view_answer src def app)
-      with
-      | Some (view, extent) ->
-        note
-          "live view %s answers %a: the restriction filters its extent \
-           (views come before capture rules)"
-          view Ast.pp_range app;
-        View { view; extent; residual = where; var = v }
-      | None when aggregated <> None ->
-        note "aggregated constructor system %s: direct evaluation" c;
-        Direct
-      | None ->
-        if not (Depgraph.is_recursive dep c) then begin
-          (* acyclic application: decompile + push the whole restriction *)
-          match
-            Pushdown.push_nonrecursive ~constructor_of:src.constructor
-              ~schema_of_range v app where
-          with
-          | pushed ->
-            note "constructor %s acyclic: decompiled, restriction pushed" c;
-            Pushed (Rewrite.flatten_range pushed)
-          | exception Pushdown.Not_applicable msg ->
-            note "pushdown not applicable (%s): decompiling only" msg;
-            Decompiled (decompile query)
-        end
-        else if bindings <> [] then begin
-          match src.constructor c with
-          | None -> Direct
-          | Some def -> (
-            match
-              Pushdown.magic_query ~ctx:(source_ctx src) ~schema:def.con_result
-                app bindings
-            with
-            | program, q ->
-              note
-                "recursive cycle through %s with %d constant binding(s): \
-                 capture rule (magic sets)"
-                c (List.length bindings);
-              let factored = Dc_datalog.Magic.factor program q in
-              if Result.is_ok factored then
-                note
-                  "right-linear: capture rule factored (Naughton et al., \
-                   VLDB 1989)";
-              Magic
-                {
-                  program;
-                  query = q;
-                  schema = def.con_result;
-                  residual = Ast.conj_list residual;
-                  var = v;
-                  factored;
-                }
-            | exception Dc_datalog.Translate.Unsupported msg ->
-              note "translation unsupported (%s): direct fixpoint" msg;
-              Direct)
-        end
-        else begin
-          note "recursive application without constant restriction: fixpoint";
-          Direct
-        end)
-    | _, Some (a : Vars.app) ->
+    match restricted, view, aggregated with
+    | _, Some (view, app), _ ->
+      (* the environment's construct hook serves the view, and the
+         restriction filters its extent *)
+      note
+        "live view %s answers %a: the restriction filters its extent \
+         (views come before capture rules)"
+        view Ast.pp_range app;
+      View view
+    | _, None, Some (a : Vars.app) ->
+      (* the rewrites below inline constructor bodies as plain branches
+         or Horn clauses; an aggregated system keeps its accumulators
+         only through the aggregate evaluator, which direct evaluation
+         reaches *)
       note "aggregated constructor system %s: direct evaluation" a.app_con;
       Direct
-    | (Some (_, _, _) | None), None ->
+    | Some (v, (Ast.Construct (_, c, _) as app), where), None, None ->
+      if not (Depgraph.is_recursive dep c) then begin
+        (* acyclic application: decompile + push the whole restriction *)
+        match
+          Pushdown.push_nonrecursive ~constructor_of:src.constructor
+            ~schema_of_range v app where
+        with
+        | pushed ->
+          note "constructor %s acyclic: decompiled, restriction pushed" c;
+          Pushed (Rewrite.flatten_range pushed)
+        | exception Pushdown.Not_applicable msg ->
+          note "pushdown not applicable (%s): decompiling only" msg;
+          Decompiled (decompile query)
+      end
+      else begin
+        let bindings, residual = Pushdown.constant_bindings v where in
+        match src.constructor c with
+        | Some def when bindings <> [] -> (
+          match
+            Pushdown.magic_query ~ctx:(source_ctx src) ~schema:def.con_result
+              app bindings
+          with
+          | program, q ->
+            note
+              "recursive cycle through %s with %d constant binding(s): \
+               capture rule (magic sets)"
+              c (List.length bindings);
+            let factored = Dc_datalog.Magic.factor program q in
+            if Result.is_ok factored then
+              note
+                "right-linear: capture rule factored (Naughton et al., \
+                 VLDB 1989)";
+            Magic
+              {
+                program;
+                query = q;
+                schema = def.con_result;
+                residual = Ast.conj_list residual;
+                var = v;
+                factored;
+              }
+          | exception Dc_datalog.Translate.Unsupported msg ->
+            note "translation unsupported (%s): direct fixpoint" msg;
+            Direct)
+        | Some _ ->
+          note "recursive application without constant restriction: fixpoint";
+          Direct
+        | None -> Direct
+      end
+    | (Some _ | None), None, None ->
       if recursive then begin
         note "recursive quant graph: fixpoint evaluation";
         Direct
@@ -273,11 +272,12 @@ let edb_of (src : Source.t) program =
 
 let edb_for db program = edb_of (Database.source db) program
 
-(* Keep the tuples of [rel] (bound to [var]) that satisfy [residual]. *)
-let filter_residual (src : Source.t) var residual rel =
+(* Keep the tuples of [rel] (bound to [var]) that satisfy [residual],
+   under the read's guard and trace: a residual may quantify over
+   another constructed range. *)
+let filter_residual env var residual rel =
   if residual = Ast.True then rel
   else
-    let env = src.eval_env () in
     let schema = Relation.schema rel in
     Relation.filter
       (fun t -> Eval.eval_formula (Eval.bind_var env var t schema) residual)
@@ -286,32 +286,19 @@ let filter_residual (src : Source.t) var residual rel =
 let execute_on ?use_indexes ?trace ?guard ?datalog_stats (src : Source.t)
     (d : decision) =
   Dc_obs.Obs.Span.timed "execute" @@ fun () ->
+  let guard =
+    match guard with Some g -> g | None -> Dc_guard.Guard.of_limits src.limits
+  in
+  let env = src.eval_env ?trace ~guard () in
   match d.d_method, d.d_plan with
-  | View { view; extent; residual; var }, _ ->
-    (* the extent is scanned like any range: every tuple ticks the guard *)
-    let guard =
-      match guard with
-      | Some g -> g
-      | None -> Dc_guard.Guard.of_limits src.limits
-    in
-    let label = lazy ("scan view " ^ view) in
-    Relation.iter (fun _ -> Dc_guard.Guard.tick guard label) extent;
-    filter_residual src var residual extent
   | (Decompiled _ | Pushed _), Some plan ->
-    let env = src.eval_env ?trace ?guard () in
     Database.coerce
       (Eval.range_schema env [] d.d_query)
       (Plan.run ?use_indexes env plan)
-  | Direct, _ -> Eval.eval_range (src.eval_env ?trace ?guard ()) d.d_query
-  | (Decompiled q | Pushed q), None ->
-    Eval.eval_range (src.eval_env ?trace ?guard ()) q
+  | (View _ | Direct), _ -> Eval.eval_range env d.d_query
+  | (Decompiled q | Pushed q), None -> Eval.eval_range env q
   | Magic { program; query; schema; residual; var; factored }, _ ->
     let edb = edb_of src program in
-    let guard =
-      match guard with
-      | Some g -> g
-      | None -> Dc_guard.Guard.of_limits src.limits
-    in
     let answers =
       match factored with
       | Ok f ->
@@ -321,7 +308,7 @@ let execute_on ?use_indexes ?trace ?guard ?datalog_stats (src : Source.t)
         Dc_datalog.Magic.answer ~guard ?stats:datalog_stats ?trace program edb
           query
     in
-    filter_residual src var residual
+    filter_residual env var residual
       (Dc_datalog.Facts.TS.fold Relation.add_unchecked answers
          (Relation.empty schema))
 
@@ -451,6 +438,6 @@ let explain ppf (d : decision) =
       Fmt.pf ppf "factored program:@.%a@." Dc_datalog.Syntax.pp_program
         f.Dc_datalog.Magic.f_program
     | Error _ -> ())
-  | View { view; _ } -> Fmt.pf ppf "served from: %s@." view
+  | View view -> Fmt.pf ppf "served from: %s@." view
   | Direct -> ());
   Quant_graph.pp ppf d.d_quant_graph

@@ -9,12 +9,10 @@ open Dc_core
 
 (** Chosen evaluation method, in the order the planner tries them. *)
 type method_ =
-  | View of {
-      view : string;  (** the live maintained view *)
-      extent : Relation.t;  (** its extent, served at planning time *)
-      residual : Ast.formula;  (** the whole restriction *)
-      var : Ast.var;
-    }  (** a live view answers the application; the restriction filters it *)
+  | View of string
+      (** a live maintained view (named) answers the application:
+          evaluated as [Direct], whose construct hook serves the view's
+          current extent and the restriction filters it *)
   | Direct  (** evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range  (** inlined as a view (acyclic) *)
   | Pushed of Ast.range  (** restriction distributed over branches *)

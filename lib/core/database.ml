@@ -24,8 +24,8 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
 (* A registered view maintainer (the incremental-maintenance subsystem
    lives in a higher layer, so it plugs in through closures).  [mt_serve]
-   answers a constructor application from the maintained extent (or
-   declines with [None]); [mt_update] applies one batch of net base
+   answers a constructor application from the maintained extent, built
+   when forced (or declines with [None]); [mt_update] applies one batch of net base
    deltas; [mt_invalidate] marks the view stale (it will refresh on next
    serve); [mt_snapshot] captures state and returns the restore thunk
    used to make a failed maintenance step atomic; [mt_stale]/[mt_freeze]
@@ -57,7 +57,7 @@ type maintainer = {
     Defs.constructor_def ->
     Relation.t ->
     Eval.arg_value list ->
-    Relation.t option;
+    Relation.t Lazy.t option;
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
       (* (relation, net added, net removed) per base relation *)
   mt_invalidate : unit -> unit;
@@ -505,14 +505,14 @@ let typecheck_env db =
     ~constructors:(List.map snd (SM.bindings db.constructors))
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings db.rels))
 
-let system_has_agg db def =
-  Source.system_has_agg (fun n -> SM.find_opt n db.constructors) def
-
 (* Evaluation environment with the full constructor/selector semantics.
    [trace], when given, records every physical pipeline the evaluation
    lowers and runs (EXPLAIN).  [guard] defaults to a fresh guard over the
    database's declarative limits (SET LIMIT): each evaluation gets its own
-   budgets.  Constructor fixpoints pick the guard up from the environment. *)
+   budgets.  Constructor fixpoints pick the guard up from the environment.
+   A maintained view that recognizes an application serves it without
+   running the fixpoint (refreshing itself first if an unmaintained
+   update left it stale). *)
 let rec eval_env ?trace ?guard db =
   let guard =
     match guard with
@@ -525,33 +525,19 @@ let rec eval_env ?trace ?guard db =
       Eval.constructor_def = (fun n -> SM.find_opt n db.constructors);
       Eval.on_select = (fun env base def args -> Selector.apply env def base args);
       Eval.on_construct =
-        (fun env base def args ->
-          (* A maintained view that recognizes this application serves it
-             without running the fixpoint (refreshing itself first if an
-             unmaintained update left it stale). *)
-          match
-            List.find_map (fun m -> m.mt_serve def base args) db.maintainers
-          with
-          | Some value -> value
-          | None ->
-            if system_has_agg db def then (
-              match db.agg_eval with
-              | Some f -> f (source db) def base args
-              | None ->
-                error
-                  "constructor %s: aggregated constructor systems need \
-                   the compiled front end (no aggregate evaluator is \
-                   installed on this database)"
-                  def.con_name)
-            else begin
-              let stats = Fixpoint.fresh_stats () in
-              let value =
-                Fixpoint.apply ~strategy:db.strategy
-                  ~max_rounds:db.max_rounds ~stats env def base args
-              in
-              db.last_stats <- Some stats;
-              value
-            end);
+        Source.on_construct
+          ~lookup:(fun n -> SM.find_opt n db.constructors)
+          ~view:(fun def base args ->
+            List.find_map (fun m -> m.mt_serve def base args) db.maintainers)
+          ~aggregate:(Option.map (fun f -> f (source db)) db.agg_eval)
+          ~fixpoint:(fun env def base args ->
+            let stats = Fixpoint.fresh_stats () in
+            let value =
+              Fixpoint.apply ~strategy:db.strategy ~max_rounds:db.max_rounds
+                ~stats env def base args
+            in
+            db.last_stats <- Some stats;
+            value);
     }
   in
   Eval.make_env ~hooks ?trace ~guard (SM.bindings db.rels)
@@ -567,12 +553,12 @@ and source db =
     limits = db.limits;
     typecheck_env = (fun () -> typecheck_env db);
     eval_env = (fun ?trace ?guard () -> eval_env ?trace ?guard db);
-    serve =
+    view_for =
       (fun def base args ->
         List.find_map
           (fun m ->
             if m.mt_stale () then None
-            else Option.map (fun r -> (m.mt_name, r)) (m.mt_serve def base args))
+            else Option.map (fun _ -> m.mt_name) (m.mt_serve def base args))
           db.maintainers);
   }
 

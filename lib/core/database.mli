@@ -32,11 +32,7 @@ val set_agg_eval : t -> Source.agg_eval -> unit
     every published snapshot — the front end wires in the compiled
     datalog pipeline (grouped accumulators, per-group-bound semi-naive
     rounds).  Without an installed evaluator such applications raise
-    {!Error} on the live database. *)
-
-val system_has_agg : t -> Defs.constructor_def -> bool
-(** Does the constructor system reachable from the definition contain an
-    aggregated constructor? *)
+    {!Dc_calculus.Eval.Runtime_error} ({!Source.on_construct}). *)
 
 val set_limits : t -> Dc_guard.Guard.limits -> unit
 (** Declarative resource limits (the surface language's [SET LIMIT]):
@@ -155,9 +151,9 @@ type maintainer = {
     Dc_calculus.Defs.constructor_def ->
     Relation.t ->
     Dc_calculus.Eval.arg_value list ->
-    Relation.t option;
-      (** serve a constructor application from the maintained extent, or
-          decline with [None] *)
+    Relation.t Lazy.t option;
+      (** serve a constructor application from the maintained extent
+          (built when forced), or decline with [None] *)
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
       (** apply one batch of net base deltas: (relation, added, removed) *)
   mt_invalidate : unit -> unit;  (** mark stale; refresh on next serve *)

@@ -20,9 +20,13 @@ module SM = Map.Make (String)
 
 (* A Live maintained view, frozen at publish time: the closure answers a
    constructor application from the view's frozen extent when the
-   application matches what was materialized, and declines otherwise. *)
+   application matches what was materialized, and declines otherwise.
+   The match is decided at once; the extent is built only when forced. *)
 type frozen_serve =
-  Defs.constructor_def -> Relation.t -> Eval.arg_value list -> Relation.t option
+  Defs.constructor_def ->
+  Relation.t ->
+  Eval.arg_value list ->
+  Relation.t Lazy.t option
 
 type frozen_view = {
   fv_name : string;
@@ -68,11 +72,11 @@ let typecheck_env s =
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings s.rels))
 
 (* Like {!Database.eval_env}, but every lookup resolves inside the
-   snapshot: constructor applications are served from frozen view extents
-   when one matches, go through the aggregate evaluator when their system
-   aggregates, and otherwise run a fixpoint whose inputs are all snapshot
-   values.  The per-evaluation index cache borrows the snapshot's frozen
-   prewarmed indexes as a read-only fallback. *)
+   snapshot: constructor applications are routed by {!Source.on_construct}
+   over frozen view extents, the installed aggregate evaluator and a
+   fixpoint whose inputs are all snapshot values.  The per-evaluation
+   index cache borrows the snapshot's frozen prewarmed indexes as a
+   read-only fallback. *)
 let eval_env ?trace ?guard s src =
   let guard =
     match guard with Some g -> g | None -> Guard.of_limits s.limits
@@ -84,23 +88,14 @@ let eval_env ?trace ?guard s src =
       Eval.on_select =
         (fun env base def args -> Selector.apply env def base args);
       Eval.on_construct =
-        (fun env base def args ->
-          match
+        Source.on_construct
+          ~lookup:(fun n -> SM.find_opt n s.constructors)
+          ~view:(fun def base args ->
             List.find_map
               (fun v -> Option.bind v.fv_serve (fun serve -> serve def base args))
-              s.views
-          with
-          | Some value -> value
-          | None -> (
-            match s.agg_eval with
-            | Some agg
-              when Source.system_has_agg
-                     (fun n -> SM.find_opt n s.constructors)
-                     def ->
-              agg src def base args
-            | _ ->
-              Fixpoint.apply ~strategy:s.strategy ~max_rounds:s.max_rounds env
-                def base args));
+              s.views)
+          ~aggregate:(Option.map (fun agg -> agg src) s.agg_eval)
+          ~fixpoint:(Fixpoint.apply ~strategy:s.strategy ~max_rounds:s.max_rounds);
     }
   in
   let icache = Index_cache.create ~shared:s.icache () in
@@ -115,12 +110,12 @@ let source s =
       limits = s.limits;
       typecheck_env = (fun () -> typecheck_env s);
       eval_env = (fun ?trace ?guard () -> eval_env ?trace ?guard s src);
-      serve =
+      view_for =
         (fun def base args ->
           List.find_map
             (fun v ->
               Option.bind v.fv_serve (fun serve ->
-                  Option.map (fun r -> (v.fv_name, r)) (serve def base args)))
+                  Option.map (fun _ -> v.fv_name) (serve def base args)))
             s.views);
     }
   in

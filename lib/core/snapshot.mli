@@ -12,9 +12,12 @@ open Dc_calculus
 module SM : Map.S with type key = string
 
 type frozen_serve =
-  Defs.constructor_def -> Relation.t -> Eval.arg_value list -> Relation.t option
+  Defs.constructor_def ->
+  Relation.t ->
+  Eval.arg_value list ->
+  Relation.t Lazy.t option
 (** Answer a constructor application from a frozen view extent, or
-    decline with [None]. *)
+    decline with [None].  The extent is built only when forced. *)
 
 type frozen_view = {
   fv_name : string;

@@ -15,11 +15,8 @@ type t = {
   typecheck_env : unit -> Typecheck.env;
   eval_env :
     ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> unit -> Eval.env;
-  serve :
-    Defs.constructor_def ->
-    Relation.t ->
-    Eval.arg_value list ->
-    (string * Relation.t) option;
+  view_for :
+    Defs.constructor_def -> Relation.t -> Eval.arg_value list -> string option;
 }
 
 type agg_eval =
@@ -45,3 +42,21 @@ let system_has_agg lookup (def : Defs.constructor_def) =
     end
   in
   walk def
+
+(* The one routing rule for a constructor application, shared by the
+   live database's and every snapshot's evaluation environment: a view
+   that answers it, else the aggregate evaluator when the system
+   aggregates, else the constructor fixpoint. *)
+let on_construct ~lookup ~view ~aggregate ~fixpoint env base
+    (def : Defs.constructor_def) args =
+  match view def base args with
+  | Some extent -> Lazy.force extent
+  | None when system_has_agg lookup def -> (
+    match aggregate with
+    | Some agg -> agg def base args
+    | None ->
+      Eval.runtime_error
+        "constructor %s: aggregated constructor systems need the compiled \
+         front end (no aggregate evaluator is installed)"
+        def.con_name)
+  | None -> fixpoint env def base args

@@ -23,13 +23,10 @@ type t = {
           matches, run through the aggregate evaluator when their system
           aggregates, and otherwise run the constructor fixpoint.  [guard]
           defaults to a fresh guard over [limits]. *)
-  serve :
-    Defs.constructor_def ->
-    Relation.t ->
-    Eval.arg_value list ->
-    (string * Relation.t) option;
-      (** the name and extent of a live (not stale) maintained view that
-          answers this application, if any *)
+  view_for :
+    Defs.constructor_def -> Relation.t -> Eval.arg_value list -> string option;
+      (** the name of a live (not stale) maintained view that answers
+          this application, if any; {!eval_env} serves it *)
 }
 
 type agg_eval =
@@ -45,3 +42,30 @@ val system_has_agg :
   (string -> Defs.constructor_def option) -> Defs.constructor_def -> bool
 (** Does the constructor system reachable from the definition contain an
     aggregated constructor? *)
+
+val on_construct :
+  lookup:(string -> Defs.constructor_def option) ->
+  view:
+    (Defs.constructor_def ->
+    Relation.t ->
+    Eval.arg_value list ->
+    Relation.t Lazy.t option) ->
+  aggregate:
+    (Defs.constructor_def -> Relation.t -> Eval.arg_value list -> Relation.t)
+    option ->
+  fixpoint:
+    (Eval.env ->
+    Defs.constructor_def ->
+    Relation.t ->
+    Eval.arg_value list ->
+    Relation.t) ->
+  Eval.env ->
+  Relation.t ->
+  Defs.constructor_def ->
+  Eval.arg_value list ->
+  Relation.t
+(** The routing of a constructor application that every {!eval_env}
+    installs: the extent of the view [view] finds, else [aggregate] when
+    the system reachable through [lookup] aggregates (an
+    {!Eval.Runtime_error} when none is installed: the fixpoint would
+    re-emit displaced bounds), else [fixpoint]. *)

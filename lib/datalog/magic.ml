@@ -146,10 +146,10 @@ let transform (program : program) (query : atom) =
 
    Take a query predicate p whose rules read only EDB predicates besides
    p itself, and whose recursive rules each hold one p atom that receives
-   the head's free-position arguments unchanged — variables that occur
-   nowhere else in the rule:
+   the head's free-position arguments unchanged — pairwise distinct
+   variables that occur nowhere else in the rule:
 
-     p(X̄, Ȳ) :- B1, p(Z̄, Ȳ), B2.        (Ȳ free, not in B1, B2, X̄, Z̄)
+     p(X̄, Ȳ) :- B1, p(Z̄, Ȳ), B2.        (Ȳ free, distinct, not in B1, B2, X̄, Z̄)
      p(X̄, T̄) :- E.                       (exit rules)
 
    Every answer of p(c̄, ·) is then an exit answer at some binding x̄
@@ -229,6 +229,13 @@ let factor (program : program) (query : atom) =
           && head_free = free_args call ad
         then Ok ()
         else fail "the recursive call changes a free argument of %s" p
+      in
+      (* p(X, Y, Y) :- e(X, Z), p(Z, Y, Y) equates two free positions
+         that an exit answer further down need not equate *)
+      let* () =
+        if List.length (List.sort_uniq compare head_free) = List.length head_free
+        then Ok ()
+        else fail "free variable repeated in the head of %s" p
       in
       let rest =
         List.filter (function Pos a -> a != call | _ -> true) r.body

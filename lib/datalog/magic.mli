@@ -38,8 +38,9 @@ val answer :
     Naughton, Ramakrishnan, Sagiv, Ullman, "Argument reduction by
     factoring" (VLDB 1989).  When the query predicate's rules read only
     EDB predicates besides itself, and each recursive rule passes the
-    head's free-position variables unchanged, and only, into the free
-    positions of its single recursive atom, the adorned program is
+    head's free-position variables (pairwise distinct) unchanged, and
+    only, into the free positions of its single recursive atom, the
+    adorned program is
     replaced by [m(c̄). m(Z̄) :- m(X̄), body.] plus one
     [ans(t̄) :- m(X̄), exit_body.] per exit rule: O(reachable) derived
     facts instead of O(reachable²). *)
@@ -53,8 +54,8 @@ type factored = {
 
 val factor : Syntax.program -> Syntax.atom -> (factored, string) result
 (** The factored program for [query], or why the condition fails
-    (nonlinear rule, mutual recursion, a reused or changed free
-    variable, no bound argument, negation). *)
+    (nonlinear rule, mutual recursion, a reused, repeated or changed
+    free variable, no bound argument, negation). *)
 
 val answer_factored :
   ?guard:Dc_guard.Guard.t ->

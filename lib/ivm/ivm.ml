@@ -1331,7 +1331,7 @@ let maintainer_of view =
     mt_depends = view.depends;
     mt_serve =
       (fun def base args ->
-        if matches view def base args then Some (value view) else None);
+        if matches view def base args then Some (lazy (value view)) else None);
     mt_update = (fun updates -> update view updates);
     mt_invalidate = (fun () -> view.status <- Stale);
     mt_snapshot =
@@ -1390,7 +1390,7 @@ let maintainer_of view =
                            Relation.compare_tuples a b = 0
                          | _ -> false)
                        arg_vals args
-                then Some (Facts.to_relation result_schema store query_pred)
+                then Some (lazy (Facts.to_relation result_schema store query_pred))
                 else None)
           | _ -> None));
   }

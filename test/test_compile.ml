@@ -677,6 +677,35 @@ let expect_not_factored what = function
   | Ok _ -> Alcotest.failf "%s: factored, but must not be" what
   | Error _ -> ()
 
+(* p(X, Y, Y) :- e(X, Z), p(Z, Y, Y) equates the free positions only
+   through the recursive rule: p(n0, n0, n1) must not follow from the
+   exit fact f(n2, n0, n1) two steps down *)
+let repeated_free =
+  Syn.
+    [
+      rule
+        (atom "p" [ var "X"; var "A"; var "B" ])
+        [ Pos (atom "f" [ var "X"; var "A"; var "B" ]) ];
+      rule
+        (atom "p" [ var "X"; var "Y"; var "Y" ])
+        [
+          Pos (atom "e" [ var "X"; var "Z" ]);
+          Pos (atom "p" [ var "Z"; var "Y"; var "Y" ]);
+        ];
+    ]
+
+let repeated_edb =
+  let n = Dc_workload.Graph_gen.node in
+  List.fold_left
+    (fun edb (x, a, b) -> Facts.add edb "f" (Tuple.of_list [ n x; n a; n b ]))
+    (Oracle.edb_of_relation "e" (Dc_workload.Graph_gen.of_pairs [ (0, 1); (1, 2) ]))
+    [ (2, 0, 1); (2, 3, 3); (1, 0, 0) ]
+
+let test_repeated_free_planned () =
+  ignore
+    (Oracle.check_planned_case ~msg:"repeated free variable" repeated_free
+       repeated_edb "p" 3)
+
 let test_factoring_decisions () =
   (match factored_decision Oracle.tc_linear small_graph "path" 0 node0 with
   | Ok _ -> ()
@@ -703,6 +732,9 @@ let test_factoring_decisions () =
   in
   expect_not_factored "free variable reused"
     (factored_decision reused marked "path" 0 node0);
+  (* the free variable Y is repeated in the head *)
+  expect_not_factored "free variable repeated"
+    (factored_decision repeated_free repeated_edb "p" 0 node0);
   (* mutual recursion: even reads odd *)
   let mutual_edb = Facts.add small_graph "start" (Tuple.make1 node0) in
   expect_not_factored "mutual recursion"
@@ -834,6 +866,8 @@ let () =
             `Quick test_planned_oracle;
           Alcotest.test_case "factoring decisions" `Quick
             test_factoring_decisions;
+          Alcotest.test_case "planned = direct (repeated free variable)"
+            `Quick test_repeated_free_planned;
         ] );
       ( "properties",
         qcheck

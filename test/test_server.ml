@@ -350,6 +350,13 @@ let method_line out =
   | Some l -> String.sub l 8 (String.length l - 8)
   | None -> Alcotest.failf "no method line in:\n%s" out
 
+(* a surface range, lowered against the server's catalog *)
+let lower srv src =
+  match Dc_lang.Parser.parse (Fmt.str "QUERY %s;" src) with
+  | [ Dc_lang.Surface.D_query r ] ->
+    Dc_lang.Elaborate.lower_query (Dc_lang.Elaborate.create (Server.db srv)) r
+  | _ -> Alcotest.fail "not one query"
+
 (* what EXPLAIN prints is what the served read ran: the same source
    text, through the session's EXPLAIN and through the library read *)
 let test_explain_matches_served () =
@@ -357,12 +364,7 @@ let test_explain_matches_served () =
   let s = Server.open_session srv in
   ignore (Server.execute s (chain_setup 12));
   let check ~expect src =
-    let range =
-      match Dc_lang.Parser.parse (Fmt.str "QUERY %s;" src) with
-      | [ Dc_lang.Surface.D_query r ] ->
-        Dc_lang.Elaborate.lower_query (Dc_lang.Elaborate.create (Server.db srv)) r
-      | _ -> Alcotest.fail "not one query"
-    in
+    let range = lower srv src in
     let explained = method_line (Server.execute s (Fmt.str "EXPLAIN %s;" src)) in
     let d, rel, _ = Server.read s range in
     Alcotest.(check string) (src ^ ": EXPLAIN = served") explained
@@ -383,6 +385,7 @@ let test_explain_matches_served () =
   ignore (check ~expect:"maintained view" "Edge{tc()}");
   Server.close_session s;
   Server.shutdown srv
+
 
 (* per-session budgets govern the capture rule too *)
 let test_limits_on_magic_path () =
@@ -413,6 +416,29 @@ let test_limits_on_magic_path () =
   in
   Alcotest.(check bool) "statement read reports the trip" true
     (contains_s out "exhausted" || contains_s out "budget");
+  (* a residual the capture rule cannot absorb runs under the session's
+     guard too: here a SOME over the whole closure, per answer *)
+  let point = {|{EACH p IN Edge{tc()}: p.a = "n18"}|} in
+  let with_some =
+    {|{EACH p IN Edge{tc()}: p.a = "n18" AND SOME q IN Edge{tc()} (q.a = p.b)}|}
+  in
+  let d, rel, _ = Server.read setup (lower srv point) in
+  (match d.Planner.d_method with
+  | Planner.Magic _ -> ()
+  | m -> Alcotest.failf "expected magic, got %s" (Planner.method_name m));
+  Alcotest.(check int) "roomy session: point read" 2 (Relation.cardinal rel);
+  (match Server.read setup (lower srv with_some) with
+  | { Planner.d_method = Planner.Magic { residual; _ }; _ }, rel, _ ->
+    Alcotest.(check bool) "SOME stays in the residual" true (residual <> Ast.True);
+    Alcotest.(check int) "roomy session: SOME residual" 1 (Relation.cardinal rel)
+  | d, _, _ -> Alcotest.failf "expected magic, got %s" (Planner.method_name d.d_method));
+  let middling = Server.open_session ~limits:(Guard.limits ~rows:40 ()) srv in
+  let _, rel, _ = Server.read middling (lower srv point) in
+  Alcotest.(check int) "middling session: point read fits" 2 (Relation.cardinal rel);
+  (match Server.read middling (lower srv with_some) with
+  | _ -> Alcotest.fail "row budget never tripped in the SOME residual"
+  | exception Guard.Exhausted (Guard.Rows_exhausted _, _) -> ());
+  Server.close_session middling;
   (* and the scan of a view's extent *)
   ignore (Server.execute setup "MATERIALIZE Edge{tc()};");
   (match Server.read tight range with
